@@ -48,7 +48,7 @@ void run() {
     auto g = graph::gen::grid(24, 48);  // D = 70, n = 1152
     for (const int threads : thread_sweep(g.n()))
       for (int k : {12, 24, 48, 96, 192}) {
-        sim::Engine eng(g, sim::ExecutionPolicy{threads});
+        sim::Engine eng(g, sim::ExecutionPolicy{.num_threads = threads});
         const auto t0 = now_ns();
         const auto res = apps::k_dominating_set(eng, k, {});
         const auto wall_ns = now_ns() - t0;
@@ -90,7 +90,7 @@ void run() {
       int ref_size = 0;
       for (char c : ref) ref_size += c;
       for (const int threads : thread_sweep(n)) {
-        sim::Engine eng(g, sim::ExecutionPolicy{threads});
+        sim::Engine eng(g, sim::ExecutionPolicy{.num_threads = threads});
         const auto t0 = now_ns();
         const auto res = apps::connected_dominating_set(eng, {});
         const auto wall_ns = now_ns() - t0;
@@ -156,7 +156,7 @@ void run() {
     };
     for (const int threads : thread_sweep(g.n())) {
       {
-        sim::Engine eng(g, sim::ExecutionPolicy{threads});
+        sim::Engine eng(g, sim::ExecutionPolicy{.num_threads = threads});
         const auto snap = eng.snap();
         const auto t0 = now_ns();
         apps::component_sum(eng, h, values, {});
@@ -164,7 +164,7 @@ void run() {
                now_ns() - t0);
       }
       {
-        sim::Engine eng(g, sim::ExecutionPolicy{threads});
+        sim::Engine eng(g, sim::ExecutionPolicy{.num_threads = threads});
         const auto snap = eng.snap();
         const auto t0 = now_ns();
         apps::component_topk(eng, h, values, 3, {});

@@ -31,7 +31,7 @@ void run() {
         sim::FaultPolicy faults;
         faults.seed = 1913;
         faults.drop_prob = drop;
-        const sim::ExecutionPolicy policy{threads};
+        const sim::ExecutionPolicy policy{.num_threads = threads};
         sim::Engine eng(inst.g, policy, faults);
         const auto t0 = now_ns();
         const auto res = apps::arq_flood(eng, 0, kToken);

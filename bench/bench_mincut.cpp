@@ -37,7 +37,7 @@ void run() {
     // phases — the bulk of the work — not just the outer accounting.
     for (const int threads : thread_sweep(g.n()))
       for (double eps : {1.0, 0.5, 0.25}) {
-        sim::Engine eng(g, sim::ExecutionPolicy{threads});
+        sim::Engine eng(g, sim::ExecutionPolicy{.num_threads = threads});
         core::PaSolverConfig cfg;
         cfg.seed = 37;
         const auto t0 = now_ns();

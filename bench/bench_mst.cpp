@@ -61,7 +61,7 @@ void run() {
       core::PaStrategy s;
     };
     for (const int threads : thread_sweep(g.n())) {
-      const sim::ExecutionPolicy policy{threads};
+      const sim::ExecutionPolicy policy{.num_threads = threads};
       for (const auto strat :
            {Strat{"ours", core::PaStrategy::Ours},
             Strat{"no-subparts", core::PaStrategy::NoSubparts}}) {

@@ -20,7 +20,7 @@ void run() {
 
   auto bench_instance = [&](const Instance& inst) {
     for (const int threads : thread_sweep(inst.g.n())) {
-      const sim::ExecutionPolicy policy{threads};
+      const sim::ExecutionPolicy policy{.num_threads = threads};
       std::vector<std::uint64_t> values(inst.g.n(), 1);
 
       // With-leader reference, split into the setup_ns/query_ns phases

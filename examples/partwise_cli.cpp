@@ -20,6 +20,12 @@
 // algorithms assume the reliable CONGEST model and will generally fail
 // validation under loss — `arq` is the workload built to survive it.
 //
+// Bad input — an unknown algorithm or family, an n below the family's
+// minimum (gnm needs n >= 7 to fit 3n edges, ktree 4, path 2) or above 2^24,
+// a non-numeric seed or thread count, a probability outside [0, 1], a crash
+// span naming a node the graph does not have — prints the usage text and
+// exits with status 2 before any engine is built.
+//
 // Examples:
 //   ./partwise_cli pa grid 1024
 //   ./partwise_cli mst apex 2048 7 --threads 4
@@ -27,6 +33,8 @@
 //   ./partwise_cli arq grid 1024 1 --drop 0.2 --fault-seed 42
 //   ./partwise_cli arq gnm 256 1 --drop 0.1 --crash 3-40:17
 #include <algorithm>
+#include <cerrno>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -47,6 +55,65 @@ namespace {
 
 using namespace pw;
 
+constexpr const char* kAlgorithms[] = {"pa",   "pa-noleader", "mst", "mincut",
+                                       "sssp", "kdom",        "cds", "arq"};
+
+// Each family's smallest valid n: the generator's own precondition (and, for
+// path, the two nodes PA partitioning and CDS need), checked here so bad
+// input is a usage error instead of an abort deep inside the library.
+struct Family {
+  const char* name;
+  int min_n;
+};
+constexpr Family kFamilies[] = {{"gnm", 7},         {"grid", 1},
+                                {"torus", 1},       {"apex", 1},
+                                {"ktree", 4},       {"caterpillar", 1},
+                                {"path", 2}};
+constexpr int kMaxN = 1 << 24;
+constexpr int kMaxThreads = 1024;
+
+const Family* find_family(const std::string& name) {
+  for (const Family& f : kFamilies)
+    if (name == f.name) return &f;
+  return nullptr;
+}
+
+bool known_algorithm(const std::string& name) {
+  for (const char* a : kAlgorithms)
+    if (name == a) return true;
+  return false;
+}
+
+// Whole-string decimal parses: trailing junk, an empty string, a sign on an
+// unsigned value, or an out-of-range value all fail.
+bool parse_int(const char* s, long lo, long hi, int* out) {
+  char* end = nullptr;
+  errno = 0;
+  const long v = std::strtol(s, &end, 10);
+  if (end == s || *end != '\0' || errno != 0 || v < lo || v > hi)
+    return false;
+  *out = static_cast<int>(v);
+  return true;
+}
+
+bool parse_u64(const char* s, int base, std::uint64_t* out) {
+  if (*s < '0' || *s > '9') return false;
+  char* end = nullptr;
+  errno = 0;
+  const unsigned long long v = std::strtoull(s, &end, base);
+  if (*end != '\0' || errno != 0) return false;
+  *out = v;
+  return true;
+}
+
+bool parse_prob(const char* s, double* out) {
+  char* end = nullptr;
+  const double v = std::strtod(s, &end);
+  if (end == s || *end != '\0' || !(v >= 0.0 && v <= 1.0)) return false;
+  *out = v;
+  return true;
+}
+
 graph::Graph make_graph(const std::string& family, int n, Rng& rng) {
   if (family == "gnm") return graph::gen::random_connected(n, 3 * n, rng);
   if (family == "grid") {
@@ -63,9 +130,7 @@ graph::Graph make_graph(const std::string& family, int n, Rng& rng) {
   if (family == "ktree") return graph::gen::k_tree(n, 3, rng);
   if (family == "caterpillar")
     return graph::gen::caterpillar(std::max(1, n / 4), 3);
-  if (family == "path") return graph::gen::path(n);
-  std::fprintf(stderr, "unknown family '%s'\n", family.c_str());
-  std::exit(2);
+  return graph::gen::path(n);  // families are validated in main()
 }
 
 void report(const char* what, const sim::PhaseStats& st, const graph::Graph& g) {
@@ -90,16 +155,31 @@ void report_faults(const sim::Engine& eng) {
 
 // "R:V" (down at R forever) or "A-B:V" (down for rounds [A, B)).
 bool parse_crash(const char* s, sim::CrashSpan* out) {
+  if (*s < '0' || *s > '9') return false;
   char* end = nullptr;
   out->from = std::strtoull(s, &end, 10);
   out->until = sim::CrashSpan::kNever;
   if (*end == '-') {
+    if (end[1] < '0' || end[1] > '9') return false;
     out->until = std::strtoull(end + 1, &end, 10);
     if (out->until <= out->from) return false;
   }
   if (*end != ':') return false;
-  out->node = std::atoi(end + 1);
-  return true;
+  return parse_int(end + 1, 0, kMaxN - 1, &out->node);
+}
+
+int usage(const char* argv0) {
+  std::fprintf(stderr,
+               "usage: %s <pa|pa-noleader|mst|mincut|sssp|kdom|cds|arq> "
+               "<gnm|grid|torus|apex|ktree|caterpillar|path> [n=512] "
+               "[seed=1] [--threads K] [--transport inproc|shm] "
+               "[--fault-seed S] [--drop P] "
+               "[--delay P] [--dup P] [--crash R:V | --crash A-B:V]\n"
+               "  n must be in [min, 2^24] (min: gnm 7, ktree 4, path 2, "
+               "others 1); K in [1, 1024]; probabilities in [0, 1], "
+               "summing to <= 1\n",
+               argv0);
+  return 2;
 }
 
 }  // namespace
@@ -131,7 +211,7 @@ int main(int argc, char** argv) {
       return false;
     };
     if (match("--threads")) {
-      threads = std::atoi(val);
+      bad_flag = !parse_int(val, 1, kMaxThreads, &threads);
     } else if (match("--transport")) {
       if (std::strcmp(val, "shm") == 0)
         transport = sim::TransportKind::kShmRing;
@@ -140,13 +220,13 @@ int main(int argc, char** argv) {
       else
         bad_flag = true;
     } else if (match("--fault-seed")) {
-      faults.seed = std::strtoull(val, nullptr, 0);
+      bad_flag = !parse_u64(val, 0, &faults.seed);
     } else if (match("--drop")) {
-      faults.drop_prob = std::atof(val);
+      bad_flag = !parse_prob(val, &faults.drop_prob);
     } else if (match("--delay")) {
-      faults.delay_prob = std::atof(val);
+      bad_flag = !parse_prob(val, &faults.delay_prob);
     } else if (match("--dup")) {
-      faults.dup_prob = std::atof(val);
+      bad_flag = !parse_prob(val, &faults.dup_prob);
     } else if (match("--crash")) {
       sim::CrashSpan span;
       if (parse_crash(val, &span))
@@ -159,26 +239,28 @@ int main(int argc, char** argv) {
       pos.push_back(argv[i]);
     }
   }
-  if (bad_flag || pos.size() < 2 || threads < 1) {
-    std::fprintf(stderr,
-                 "usage: %s <pa|pa-noleader|mst|mincut|sssp|kdom|cds|arq> "
-                 "<gnm|grid|torus|apex|ktree|caterpillar|path> [n=512] "
-                 "[seed=1] [--threads K] [--transport inproc|shm] "
-                 "[--fault-seed S] [--drop P] "
-                 "[--delay P] [--dup P] [--crash R:V | --crash A-B:V]\n",
-                 argv[0]);
-    return 2;
-  }
+  if (bad_flag || pos.size() < 2 || pos.size() > 4) return usage(argv[0]);
   const std::string algorithm = pos[0];
   const std::string family = pos[1];
-  const int n = pos.size() > 2 ? std::atoi(pos[2]) : 512;
-  const std::uint64_t seed =
-      pos.size() > 3 ? std::strtoull(pos[3], nullptr, 10) : 1;
-  sim::ExecutionPolicy policy{threads};
-  policy.transport = transport;
+  const Family* fam = find_family(family);
+  int n = 512;
+  std::uint64_t seed = 1;
+  if (!known_algorithm(algorithm) || fam == nullptr ||
+      (pos.size() > 2 && !parse_int(pos[2], fam->min_n, kMaxN, &n)) ||
+      (pos.size() > 3 && !parse_u64(pos[3], 10, &seed)) ||
+      faults.drop_prob + faults.delay_prob + faults.dup_prob > 1.0)
+    return usage(argv[0]);
+  const sim::ExecutionPolicy policy{.num_threads = threads,
+                                    .transport = transport};
 
   Rng rng(seed);
   graph::Graph g = make_graph(family, n, rng);
+  for (const sim::CrashSpan& c : faults.crashes)
+    if (c.node >= g.n()) {
+      std::fprintf(stderr, "--crash names node %d, but the graph has %d\n",
+                   c.node, g.n());
+      return usage(argv[0]);
+    }
   std::printf("graph: %s  n=%d m=%d D~%d  threads=%d transport=%s\n",
               family.c_str(), g.n(), g.m(), graph::diameter_estimate(g),
               threads,
@@ -270,9 +352,6 @@ int main(int argc, char** argv) {
         static_cast<unsigned long long>(res.data_sends),
         static_cast<unsigned long long>(res.retransmissions));
     report_faults(eng);
-  } else {
-    std::fprintf(stderr, "unknown algorithm '%s'\n", algorithm.c_str());
-    return 2;
   }
   return 0;
 }

@@ -31,14 +31,11 @@ namespace pw::bench {
 namespace {
 
 constexpr sim::ExecutionPolicy kPolicies[] = {
-    {1, false, false, false},  //
-    {2, false, false, false},
-    {2, true, false, false},
-    {2, true, true, false},
-    {4, false, false, false},
-    {4, true, false, false},
-    {4, true, true, false},
-    {4, true, true, true}};
+    {.num_threads = 1, .pipeline = false},
+    {.num_threads = 2, .pipeline = false},
+    {.num_threads = 2, .pipeline = true},
+    {.num_threads = 4, .pipeline = false},
+    {.num_threads = 4, .pipeline = true}};
 
 // Canonical capture of one run: the app result flattened to words, plus the
 // engine accounting. Policy must not move any of it.
@@ -58,7 +55,7 @@ void expect_policy_invariant(const char* what, F&& run) {
     const Capture got = run(policy);
     const auto label =
         std::string(what) + " @" + std::to_string(policy.num_threads) +
-        (policy.pipeline ? (policy.eager_seal ? "+pipe+eager" : "+pipe") : "");
+        (policy.pipeline ? "+pipe" : "");
     EXPECT_EQ(got.result, ref.result) << label;
     EXPECT_EQ(got.rounds, ref.rounds) << label;
     EXPECT_EQ(got.messages, ref.messages) << label;

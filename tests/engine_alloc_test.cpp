@@ -43,7 +43,7 @@ void flood_phase(Engine& eng, std::vector<char>& seen) {
 TEST(EngineAlloc, DenseSteadyStateRoundLoopAllocatesNothing) {
   Rng rng(1);
   const auto g = graph::gen::random_connected(2048, 6144, rng);
-  Engine eng(g, ExecutionPolicy{1});
+  Engine eng(g, ExecutionPolicy{.num_threads = 1});
   std::vector<char> seen(static_cast<std::size_t>(g.n()), 0);
   // Warm-up: lets active_/wake_list_ reach their steady-state capacity.
   flood_phase(eng, seen);
@@ -58,20 +58,14 @@ TEST(EngineAlloc, DenseSteadyStateRoundLoopAllocatesNothing) {
 // The sharded plane preserves the contract: per-shard wake lists, staging
 // buckets, and the worker pool are all sized at construction, and a futex
 // dispatch allocates nothing. (Thread spawn happens in the ctor, before the
-// counted window.) All four round-close modes are covered: the pipelined
+// counted window.) Both round-close modes are covered: the pipelined
 // two-stage dispatch (DESIGN.md §8) reuses dependency counters and per-task
-// publish states sized at construction, the eager seal's per-round seal
-// points are rebuilt in place (fixed-size per-shard arrays, std::sort over
-// at most S-1 elements; all-active rounds reuse the static schedule built at
-// construction), and the incremental merge's scatter cursors are fixed
-// arrays too — all must be allocation-free.
+// publish states sized at construction, so it must be allocation-free too.
 TEST(EngineAlloc, ShardedSteadyStateRoundLoopAllocatesNothing) {
   Rng rng(1);
   const auto g = graph::gen::random_connected(2048, 6144, rng);
-  constexpr ExecutionPolicy kModes[] = {{4, false, false},
-                                        {4, true, false},
-                                        {4, true, true},
-                                        {4, true, true, true}};
+  constexpr ExecutionPolicy kModes[] = {{.num_threads = 4, .pipeline = false},
+                                        {.num_threads = 4, .pipeline = true}};
   for (const auto policy : kModes) {
     Engine eng(g, policy);
     std::vector<char> seen(static_cast<std::size_t>(g.n()), 0);
@@ -83,7 +77,7 @@ TEST(EngineAlloc, ShardedSteadyStateRoundLoopAllocatesNothing) {
     const std::uint64_t after = g_news.load(std::memory_order_relaxed);
     EXPECT_EQ(after - before, 0u)
         << "heap allocation in the sharded round loop (pipeline="
-        << policy.pipeline << ", eager_seal=" << policy.eager_seal << ")";
+        << policy.pipeline << ")";
   }
 }
 

@@ -60,27 +60,18 @@ std::vector<Instance> instances() {
 }
 
 // Every case runs under the sequential engine AND the sharded parallel one,
-// with the end-of-round merge barriered (DESIGN.md §7), pipelined into the
-// callback phase at shard granularity, pipelined with the eager per-bucket
-// seal, and with the incremental per-bucket scatter (§8): parallelism lives
-// below the accounting layer, so every policy must reproduce the goldens
-// bit-for-bit.
+// with the end-of-round merge barriered (DESIGN.md §7) and pipelined into
+// the callback phase (§8): parallelism lives below the accounting layer, so
+// every policy must reproduce the goldens bit-for-bit.
 constexpr sim::ExecutionPolicy kPolicies[] = {
-    {1, false, false, false},  //
-    {2, false, false, false},
-    {2, true, false, false},
-    {2, true, true, false},
-    {2, true, true, true},
-    {4, false, false, false},
-    {4, true, false, false},
-    {4, true, true, false},
-    {4, true, true, true}};
+    {.num_threads = 1, .pipeline = false},
+    {.num_threads = 2, .pipeline = false},
+    {.num_threads = 2, .pipeline = true},
+    {.num_threads = 4, .pipeline = false},
+    {.num_threads = 4, .pipeline = true}};
 
 const char* mode_suffix(const sim::ExecutionPolicy& p) {
-  return !p.pipeline      ? ""
-         : !p.eager_seal  ? "+pipe"
-         : !p.incremental ? "+pipe+eager"
-                          : "+pipe+eager+inc";
+  return p.pipeline ? "+pipe" : "";
 }
 
 // The manual-round-loop traces below always close rounds through the
@@ -155,7 +146,7 @@ TEST(EngineDeterminism, GoldenActiveOrderTrace) {
   Rng rng(43);
   const auto inst = general_instance(512, rng);
   for (const int threads : kThreadCounts) {
-    sim::Engine eng(inst.g, sim::ExecutionPolicy{threads});
+    sim::Engine eng(inst.g, sim::ExecutionPolicy{.num_threads = threads});
     std::vector<char> seen(static_cast<std::size_t>(inst.g.n()), 0);
     seen[0] = 1;
     eng.wake(0);
@@ -194,7 +185,7 @@ TEST(EngineDeterminism, GoldenDeliveryTraceIdenticalAcrossThreadCounts) {
   const auto inst = general_instance(512, rng);
 
   auto delivery_trace = [&](int threads) {
-    sim::Engine eng(inst.g, sim::ExecutionPolicy{threads});
+    sim::Engine eng(inst.g, sim::ExecutionPolicy{.num_threads = threads});
     std::vector<std::uint64_t> trace;
     std::vector<char> seen(static_cast<std::size_t>(inst.g.n()), 0);
     seen[0] = 1;

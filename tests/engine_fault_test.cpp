@@ -6,8 +6,7 @@
 // (seed, round, receiver-side arc), nodes crash and reboot on a fixed
 // schedule. Because every verdict is a pure function of that triple, a fixed
 // seed must produce BIT-IDENTICAL delivery traces across every execution
-// policy — {1} ∪ {2,4} × {barriered, pipelined, eager, incremental} —
-// including under the
+// policy — {1} ∪ {2,4} × {barriered, pipelined} — including under the
 // forced round-id / wake-epoch wraps. These tests pin that, the exact
 // drop/delay/dup/crash semantics on tiny graphs where the schedule can be
 // computed by hand, the ARQ workload's completion guarantee under chaos, and
@@ -31,27 +30,20 @@ namespace {
 
 using graph::Graph;
 
-// {2,4} threads × {barriered, shard-sealed pipelined, eager-sealed
-// pipelined, incremental}; index 0 is the sequential reference. The default
-// 60 s watchdog stays armed, so every parallel test here doubles as "an
-// armed watchdog never fires on a live engine".
+// {2,4} threads × {barriered, pipelined}; index 0 is the sequential
+// reference. The default 60 s watchdog stays armed, so every parallel test
+// here doubles as "an armed watchdog never fires on a live engine".
 constexpr ExecutionPolicy kAllPolicies[] = {
-    {1, false, false, false},  //
-    {2, false, false, false},
-    {2, true, false, false},
-    {2, true, true, false},
-    {2, true, true, true},
-    {4, false, false, false},
-    {4, true, false, false},
-    {4, true, true, false},
-    {4, true, true, true}};
+    {.num_threads = 1, .pipeline = false},
+    {.num_threads = 2, .pipeline = false},
+    {.num_threads = 2, .pipeline = true},
+    {.num_threads = 4, .pipeline = false},
+    {.num_threads = 4, .pipeline = true}};
 
 std::string label(const ExecutionPolicy& p) {
   std::string out = p.num_threads == 1 ? "sequential"
-                    : !p.pipeline      ? "barriered"
-                    : !p.eager_seal    ? "pipelined"
-                    : p.incremental    ? "pipelined+eager+inc"
-                                       : "pipelined+eager";
+                    : p.pipeline       ? "pipelined"
+                                       : "barriered";
   if (p.transport == TransportKind::kShmRing) out += "/shm";
   return out;
 }
@@ -204,14 +196,12 @@ TEST(FaultTrace, IdenticalUnderForcedWraps) {
   expect_fault_trace_equal_across_policies(g, faults, wrap_drive);
 }
 
-// Satellite of the incremental merge (§8): the merge is the fault plane's
-// single choke point, and the incremental close both reorders fault-free
-// scatters (arrival order) and blocks per bucket under faults to keep the
-// per-destination delay queues in append order. Seven policy configurations
-// spanning every verdict type — and their compositions — must produce
-// bit-identical traces AND fault counters under the incremental merge at
-// {2,4} threads vs the sequential reference.
-TEST(FaultTrace, SevenFaultConfigsIdenticalUnderIncrementalMerge) {
+// The merge is the fault plane's single choke point, and under the
+// pipelined close destination merges run in whatever order their feeders
+// seal. Seven fault configurations spanning every verdict type — and their
+// compositions — must produce bit-identical traces AND fault counters under
+// the pipelined close at {2,4} threads vs the sequential reference.
+TEST(FaultTrace, SevenFaultConfigsIdenticalUnderPipelinedClose) {
   const Graph g = graph::gen::grid(8, 8);
   std::vector<FaultPolicy> configs(7);
   for (std::size_t i = 0; i < configs.size(); ++i)
@@ -237,11 +227,11 @@ TEST(FaultTrace, SevenFaultConfigsIdenticalUnderIncrementalMerge) {
     const auto reference =
         fault_trace_of(g, kAllPolicies[0], configs[i], chatter_drive);
     for (const int threads : {2, 4}) {
-      ExecutionPolicy inc{threads, true, true, true};
-      EXPECT_EQ(reference, fault_trace_of(g, inc, configs[i], chatter_drive))
+      ExecutionPolicy pipe{.num_threads = threads, .pipeline = true};
+      EXPECT_EQ(reference, fault_trace_of(g, pipe, configs[i], chatter_drive))
           << "config " << i << " @" << threads;
-      inc.transport = TransportKind::kShmRing;
-      EXPECT_EQ(reference, fault_trace_of(g, inc, configs[i], chatter_drive))
+      pipe.transport = TransportKind::kShmRing;
+      EXPECT_EQ(reference, fault_trace_of(g, pipe, configs[i], chatter_drive))
           << "config " << i << " @" << threads << " shm";
     }
   }
@@ -267,7 +257,7 @@ TEST(FaultTrace, SameSeedReproducesDifferentSeedDiverges) {
 TEST(FaultSemantics, DelayArrivesExactlyLate) {
   const Graph g = graph::gen::path(2);
   const auto rounds_with = [&](const FaultPolicy& faults) {
-    Engine eng(g, ExecutionPolicy{1, false, false}, faults);
+    Engine eng(g, ExecutionPolicy{.num_threads = 1, .pipeline = false}, faults);
     std::uint64_t seen_at = 0;
     eng.wake(0);
     const std::uint64_t executed = eng.run([&](int v) {
@@ -286,7 +276,8 @@ TEST(FaultSemantics, DelayArrivesExactlyLate) {
   FaultPolicy delayed;
   delayed.delay_prob = 1.0;
   delayed.delay_rounds = 3;
-  Engine probe(g, ExecutionPolicy{1, false, false}, delayed);
+  Engine probe(g, ExecutionPolicy{.num_threads = 1, .pipeline = false},
+               delayed);
   EXPECT_TRUE(probe.faulty());
   EXPECT_EQ(rounds_with(delayed), plain + 3);
 }
@@ -297,7 +288,7 @@ TEST(FaultSemantics, DupDeliversTwice) {
   const Graph g = graph::gen::path(2);
   FaultPolicy faults;
   faults.dup_prob = 1.0;
-  Engine eng(g, ExecutionPolicy{1, false, false}, faults);
+  Engine eng(g, ExecutionPolicy{.num_threads = 1, .pipeline = false}, faults);
   std::size_t seen = 0;
   eng.wake(0);
   eng.run([&](int v) {
@@ -318,7 +309,7 @@ TEST(FaultSemantics, DropEverythingTerminates) {
   const Graph g = graph::gen::star(9);
   FaultPolicy faults;
   faults.drop_prob = 1.0;
-  Engine eng(g, ExecutionPolicy{1, false, false}, faults);
+  Engine eng(g, ExecutionPolicy{.num_threads = 1, .pipeline = false}, faults);
   std::vector<char> ran(static_cast<std::size_t>(g.n()), 0);
   eng.wake(0);
   eng.run([&](int v) {
@@ -337,7 +328,7 @@ TEST(FaultSemantics, CrashShedsAndReboots) {
   const Graph g = graph::gen::path(2);
   FaultPolicy faults;
   faults.crashes = {{1, 0, 4}};  // node 1 down for rounds 0..3, up at 4
-  Engine eng(g, ExecutionPolicy{1, false, false}, faults);
+  Engine eng(g, ExecutionPolicy{.num_threads = 1, .pipeline = false}, faults);
   std::vector<std::uint64_t> node1_rounds;
   int node0_left = 5;
   eng.wake(1);  // targets round 0, node down -> suppressed
@@ -369,7 +360,7 @@ TEST(FaultSemantics, CrashShedsAndReboots) {
 
 TEST(FaultSemantics, FaultFreeEngineReportsNothing) {
   const Graph g = graph::gen::path(4);
-  Engine eng(g, ExecutionPolicy{1, false, false});
+  Engine eng(g, ExecutionPolicy{.num_threads = 1, .pipeline = false});
   EXPECT_FALSE(eng.faulty());
   const FaultStats fs = eng.fault_stats();
   EXPECT_EQ(fs.messages_dropped, 0u);
@@ -384,7 +375,7 @@ TEST(FaultSemantics, DrainClearsDelayedTraffic) {
   FaultPolicy faults;
   faults.delay_prob = 1.0;
   faults.delay_rounds = 5;
-  Engine eng(g, ExecutionPolicy{1, false, false}, faults);
+  Engine eng(g, ExecutionPolicy{.num_threads = 1, .pipeline = false}, faults);
   eng.wake(0);
   eng.run([&](int v) { eng.send(v, 0, Msg{1, 0, 0, 0}); }, 1);
   EXPECT_FALSE(eng.idle());  // the message is parked in a delay queue
@@ -470,7 +461,7 @@ TEST(Arq, TotalLossTerminatesOnBudget) {
   const Graph g = graph::gen::cycle(8);
   FaultPolicy faults;
   faults.drop_prob = 1.0;
-  Engine eng(g, ExecutionPolicy{1, false, false}, faults);
+  Engine eng(g, ExecutionPolicy{.num_threads = 1, .pipeline = false}, faults);
   apps::ArqConfig cfg;
   cfg.max_rounds = 64;
   const apps::ArqResult r = apps::arq_flood(eng, 0, 9, cfg);
@@ -527,9 +518,7 @@ TEST(Watchdog, ArmedRunCompletes) {
 // watchdog must abort with the dependency-counter dump ("deps_left" is
 // printed only by the §9 diagnostics) instead of hanging.
 [[maybe_unused]] void run_with_withheld_seal(const Graph& g) {
-  ExecutionPolicy policy{4, true, true};
-  policy.watchdog_ms = 1000;
-  Engine eng(g, policy);
+  Engine eng(g, ExecutionPolicy{.num_threads = 4, .watchdog_ms = 1000});
   eng.debug_withhold_seal(1, 0);
   std::vector<std::vector<std::uint64_t>> trace(
       static_cast<std::size_t>(g.n()));
@@ -544,32 +533,6 @@ TEST(Watchdog, WithheldSealAbortsWithDiagnostics) {
   GTEST_FLAG_SET(death_test_style, "threadsafe");
   const Graph g = graph::gen::grid(8, 8);
   EXPECT_DEATH(run_with_withheld_seal(g), "deps_left");
-#endif
-}
-
-// Same wedge under the INCREMENTAL merge: the claimed merge for dest 0 parks
-// in its scatter wait for the seal task 1 never issues, and the dump must
-// include the per-destination scatter-cursor lines (sealed/scattered/
-// committed state — printed only by the incremental §9 diagnostics) so the
-// missing feeder is identifiable.
-[[maybe_unused]] void run_incremental_with_withheld_seal(const Graph& g) {
-  ExecutionPolicy policy{4, true, true, true};
-  policy.watchdog_ms = 1000;
-  Engine eng(g, policy);
-  eng.debug_withhold_seal(1, 0);
-  std::vector<std::vector<std::uint64_t>> trace(
-      static_cast<std::size_t>(g.n()));
-  chatter_drive(eng, trace);
-}
-
-TEST(Watchdog, WithheldSealUnderIncrementalMergeDumpsScatterCursors) {
-#ifdef PW_UNDER_TSAN
-  GTEST_SKIP() << "death test forks after threads exist; the watchdog dump "
-                  "intentionally reads racing counters TSan would flag";
-#else
-  GTEST_FLAG_SET(death_test_style, "threadsafe");
-  const Graph g = graph::gen::grid(8, 8);
-  EXPECT_DEATH(run_incremental_with_withheld_seal(g), "scatter cursor");
 #endif
 }
 

@@ -5,8 +5,8 @@
 // graph (family × size) and a random callback program (which ports each
 // activation sends on, payloads, self-wakes, and a mid-run drain segment),
 // then replays the identical program on the sequential engine and on every
-// parallel configuration: {2,4} threads × {barriered, pipelined, eager,
-// incremental} × {in-proc, shm-ring transport}, plus a fault-policy sample
+// parallel configuration: {2,4} threads × {barriered, pipelined} ×
+// {in-proc, shm-ring transport}, plus a fault-policy sample
 // of the whole matrix. Every replay must produce a bit-identical full
 // observation trace (per-node inbox tuples in order, totals, fault
 // counters).
@@ -146,20 +146,13 @@ std::vector<std::vector<std::uint64_t>> fuzz_trace(
 
 // The configuration matrix one instance is replayed across.
 constexpr ExecutionPolicy kFuzzPolicies[] = {
-    {2, false, false, false},  //
-    {2, true, false, false},   //
-    {2, true, true, false},    //
-    {2, true, true, true},     //
-    {4, false, false, false},  //
-    {4, true, false, false},   //
-    {4, true, true, false},    //
-    {4, true, true, true}};
+    {.num_threads = 2, .pipeline = false},
+    {.num_threads = 2, .pipeline = true},
+    {.num_threads = 4, .pipeline = false},
+    {.num_threads = 4, .pipeline = true}};
 
 std::string label(const ExecutionPolicy& p) {
-  std::string out = !p.pipeline   ? "barriered"
-                    : !p.eager_seal ? "pipelined"
-                    : p.incremental ? "pipelined+eager+inc"
-                                    : "pipelined+eager";
+  std::string out = p.pipeline ? "pipelined" : "barriered";
   out += p.transport == TransportKind::kShmRing ? "/shm" : "/inproc";
   return out + "@" + std::to_string(p.num_threads);
 }
@@ -199,9 +192,9 @@ TEST(EngineFuzz, TraceIdenticalAcrossFullConfigMatrix) {
     const Graph g = make_graph(seed);
     const auto faults = fault_sample(seed, g.n());
     for (std::size_t f = 0; f < faults.size(); ++f) {
-      const auto reference =
-          fuzz_trace(g, seed, ExecutionPolicy{1, false, false, false},
-                     faults[f]);
+      const auto reference = fuzz_trace(
+          g, seed, ExecutionPolicy{.num_threads = 1, .pipeline = false},
+          faults[f]);
       total_messages += reference[reference.size() - 2][1];
       for (ExecutionPolicy policy : kFuzzPolicies) {
         EXPECT_EQ(reference, fuzz_trace(g, seed, policy, faults[f]))
@@ -209,12 +202,11 @@ TEST(EngineFuzz, TraceIdenticalAcrossFullConfigMatrix) {
         policy.transport = TransportKind::kShmRing;
         EXPECT_EQ(reference, fuzz_trace(g, seed, policy, faults[f]))
             << label(policy) << " fault-config " << f << " n=" << g.n();
-        // Extra soak on the deepest configuration — the incremental merge
-        // over the in-place shm wire path stacks every protocol (eager
-        // seals, scatter waits, frame publish/retire, deque claims), so it
-        // gets PW_FUZZ_INC_SHM_REPS more replays than the rest of the
-        // matrix.
-        if (policy.incremental) {
+        // Extra soak on the deepest configuration — the pipelined close
+        // over the in-place shm wire path stacks every protocol (seals,
+        // frame publish/retire, largest-first claims), so it gets
+        // PW_FUZZ_INC_SHM_REPS more replays than the rest of the matrix.
+        if (policy.pipeline) {
           const std::uint64_t reps = env_u64("PW_FUZZ_INC_SHM_REPS", 2);
           for (std::uint64_t r = 0; r < reps; ++r)
             EXPECT_EQ(reference, fuzz_trace(g, seed, policy, faults[f]))

@@ -21,8 +21,10 @@ using graph::Graph;
 // Manual-round-loop tests close rounds through the barriered merge whatever
 // the flag says; run()-based tests below sweep both close modes explicitly
 // (the pipelined close has its own suite, engine_pipeline_test.cpp).
-constexpr ExecutionPolicy kSharded{4, false};
-constexpr ExecutionPolicy kClosePolicies[] = {{4, false}, {4, true}};
+constexpr ExecutionPolicy kSharded{.num_threads = 4, .pipeline = false};
+constexpr ExecutionPolicy kClosePolicies[] = {
+    {.num_threads = 4, .pipeline = false},
+    {.num_threads = 4, .pipeline = true}};
 
 // Mirror of EngineStress.DrainDiscardsInFlightTrafficWithoutCorruptingLaterRounds
 // with the data plane split into 4 shards: drain() must discard delivered-but-
@@ -163,7 +165,7 @@ TEST(EngineParallel, PhasesReuseCleanlyUnderShards) {
 TEST(EngineParallel, MidRoundIdleMatchesSequential) {
   Graph g = graph::gen::path(64);
   for (const int threads : {1, 4}) {
-    Engine eng(g, ExecutionPolicy{threads});
+    Engine eng(g, ExecutionPolicy{.num_threads = threads});
     eng.wake(0);
     EXPECT_FALSE(eng.idle()) << threads;
     eng.begin_round();
@@ -232,7 +234,7 @@ TEST(EngineParallelDeath, IdleFromParallelCallbackAborts) {
 // one shard per node at most (and still work).
 TEST(EngineParallel, MoreThreadsThanNodes) {
   Graph g = graph::gen::path(3);
-  Engine eng(g, ExecutionPolicy{16});
+  Engine eng(g, ExecutionPolicy{.num_threads = 16});
   eng.wake(0);
   int deliveries = 0;
   eng.run([&](int v) {

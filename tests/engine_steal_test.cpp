@@ -1,15 +1,13 @@
-// Work-stealing merge claims (DESIGN.md §8): publishing a stage-2 task
-// pushes it onto the publisher's own claim deque; free threads pop their own
-// deque, steal the heaviest victim top, and fall back to a full ready-state
-// scan — with ready_state_'s CAS as the exactly-once arbiter throughout.
-// These tests drive the Executor directly: exactly-once stage-2 execution
-// under repeated skewed dispatches (own-pop vs. steal races on every deque
-// slot), the empty-steal park/retry path (one slow publisher forces every
-// other thread to drain the deques and park until its seals land), the
-// degenerate inline dispatch, and the watchdog dump's per-thread deque
-// cursors when a withheld seal wedges the claim loop. The TSan CI job runs
-// this file (name matches its -R filter) — the deque's fences and the claim
-// CAS are exactly what it exists to check.
+// Largest-first merge claims (DESIGN.md §8): a free thread scans the
+// stage-2 publish states for the heaviest published task and CASes it to
+// claimed — ready_state_'s CAS is the exactly-once arbiter. These tests
+// drive the Executor directly: exactly-once stage-2 execution under
+// repeated skewed dispatches (every claimer racing for the same heaviest
+// entry), surplus threads that only claim, the empty-scan park/retry path
+// (one slow publisher forces every other thread to park until its seals
+// land), and the degenerate inline dispatch. The TSan CI job runs this file
+// (name matches its -R filter) — the claim CAS and the park handshake are
+// exactly what it exists to check.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -40,7 +38,7 @@ struct AllToAll {
 };
 
 // Identity graph: task s feeds only stage-2 task s, so publishes trickle in
-// one at a time and fast threads repeatedly find empty deques and park.
+// one at a time and fast threads repeatedly find nothing to claim and park.
 struct Identity {
   explicit Identity(int t) : out_beg(static_cast<std::size_t>(t) + 1) {
     for (int s = 0; s <= t; ++s) out_beg[static_cast<std::size_t>(s)] = s;
@@ -68,8 +66,8 @@ struct ClaimCtx {
 void stage1(void* ctx, int task) {
   auto* c = static_cast<ClaimCtx*>(ctx);
   if (task == c->slow_task) {
-    // Long enough that on real cores the siblings drain their deques and
-    // park before this thread's seals publish anything new.
+    // Long enough that on real cores the siblings run out of claimable work
+    // and park before this thread's seals publish anything new.
     const auto until =
         std::chrono::steady_clock::now() + std::chrono::milliseconds(2);
     while (std::chrono::steady_clock::now() < until) {
@@ -88,12 +86,12 @@ int size_of(void* ctx, int task) {
       ->weights[static_cast<std::size_t>(task)];
 }
 
-// Every deque slot is contended: the all-to-all graph publishes all tasks
-// from whichever thread seals last, so the other threads must steal from a
-// single victim deque while the victim pops its own bottom. Repeats shake
-// the interleavings; each dispatch must run each stage-2 task exactly once
-// (a double claim would double-count, a lost task would hang the dispatch).
-TEST(WorkStealingClaims, ExactlyOnceUnderRepeatedSkewedDispatches) {
+// Every claim is contended: the all-to-all graph publishes all tasks from
+// whichever thread seals last, so every thread's scan lands on the same
+// heaviest entry at once. Repeats shake the interleavings; each dispatch
+// must run each stage-2 task exactly once (a double claim would
+// double-count, a lost task would hang the dispatch).
+TEST(MergeClaims, ExactlyOnceUnderRepeatedSkewedDispatches) {
   const int kThreads = 4;
   Executor ex(kThreads, /*watchdog_ms=*/60000);
   AllToAll graph(kThreads);
@@ -110,8 +108,8 @@ TEST(WorkStealingClaims, ExactlyOnceUnderRepeatedSkewedDispatches) {
 }
 
 // Fewer tasks than threads: the surplus threads skip stage 1 entirely and
-// live in the claim loop — pure thieves racing the publishers' own pops.
-TEST(WorkStealingClaims, SurplusThreadsAreThievesOnly) {
+// live in the claim loop, racing the publishers for every task.
+TEST(MergeClaims, SurplusThreadsOnlyClaim) {
   const int kThreads = 4;
   const int kTasks = 2;
   Executor ex(kThreads, /*watchdog_ms=*/60000);
@@ -128,11 +126,11 @@ TEST(WorkStealingClaims, SurplusThreadsAreThievesOnly) {
 }
 
 // One slow stage-1 task under the identity graph: the fast threads run their
-// own stage-2 task immediately (own-deque pop), find every deque empty, and
-// park; the slow thread's eventual publish must wake a parked claimer, and
+// own stage-2 task immediately, find nothing else published, and park; the
+// slow thread's eventual publish must wake a parked claimer, and
 // the final claim's broadcast must release the rest. A missed wake here is a
 // hang, which the armed watchdog converts into a loud failure.
-TEST(WorkStealingClaims, EmptyStealParksUntilSlowPublisherSeals) {
+TEST(MergeClaims, EmptyScanParksUntilSlowPublisherSeals) {
   const int kThreads = 4;
   Executor ex(kThreads, /*watchdog_ms=*/60000);
   Identity graph(kThreads);
@@ -150,8 +148,8 @@ TEST(WorkStealingClaims, EmptyStealParksUntilSlowPublisherSeals) {
 }
 
 // The single-thread executor and the single-task dispatch both take the
-// inline path: no deques, no workers, stage 2 right after stage 1.
-TEST(WorkStealingClaims, DegenerateDispatchesRunInline) {
+// inline path: no claims, no workers, stage 2 right after stage 1.
+TEST(MergeClaims, DegenerateDispatchesRunInline) {
   Executor ex1(1);
   AllToAll graph(1);
   ClaimCtx ctx(1);
@@ -164,38 +162,6 @@ TEST(WorkStealingClaims, DegenerateDispatchesRunInline) {
   ex4.pipeline(1, stage1, stage2, graph.deps(), &ctx,
                Executor::PipelineOpts());
   EXPECT_EQ(ctx.runs[0].load(), 1);
-}
-
-#if defined(__SANITIZE_THREAD__)  // GCC
-#define PW_UNDER_TSAN 1
-#elif defined(__has_feature)  // Clang
-#if __has_feature(thread_sanitizer)
-#define PW_UNDER_TSAN 1
-#endif
-#endif
-
-// A withheld seal starves stage-2 task 0 forever; the watchdog must abort
-// with the per-thread claim-deque cursors in the dump (printed only by the
-// §9 diagnostics) so a wedged claim loop is attributable to an empty — or
-// clogged — deque at a glance.
-[[maybe_unused]] void run_with_withheld_seal() {
-  const int kThreads = 4;
-  Executor ex(kThreads, /*watchdog_ms=*/1000);
-  ex.debug_withhold_seal(1, 0);
-  AllToAll graph(kThreads);
-  ClaimCtx ctx(kThreads);
-  ex.pipeline(kThreads, stage1, stage2, graph.deps(), &ctx,
-              Executor::PipelineOpts());
-}
-
-TEST(WorkStealingClaimsDeath, WithheldSealDumpsClaimDequeCursors) {
-#ifdef PW_UNDER_TSAN
-  GTEST_SKIP() << "death test forks after threads exist; the watchdog dump "
-                  "intentionally reads racing counters TSan would flag";
-#else
-  GTEST_FLAG_SET(death_test_style, "threadsafe");
-  EXPECT_DEATH(run_with_withheld_seal(), "claim deque: top=");
-#endif
 }
 
 }  // namespace

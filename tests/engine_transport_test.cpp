@@ -102,24 +102,18 @@ TEST(SpscRing, PublishDrainCycleAdvancesFrameCounters) {
 
 // --- in-engine trace equality ----------------------------------------------
 
-// {2,4} threads × {barriered, shard-sealed pipelined, eager-sealed,
-// incremental}; the transport field is set per test.
+// {2,4} threads × {barriered, pipelined}; the transport field is set per
+// test.
 constexpr ExecutionPolicy kParallelPolicies[] = {
-    {2, false, false, false},  //
-    {2, true, false, false},   //
-    {2, true, true, false},    //
-    {2, true, true, true},     //
-    {4, false, false, false},  //
-    {4, true, false, false},   //
-    {4, true, true, false},    //
-    {4, true, true, true}};
+    {.num_threads = 2, .pipeline = false},
+    {.num_threads = 2, .pipeline = true},
+    {.num_threads = 4, .pipeline = false},
+    {.num_threads = 4, .pipeline = true}};
 
 std::string label(const ExecutionPolicy& p) {
   std::string out = p.num_threads == 1 ? "sequential"
-                    : !p.pipeline      ? "barriered"
-                    : !p.eager_seal    ? "pipelined"
-                    : p.incremental    ? "pipelined+eager+inc"
-                                       : "pipelined+eager";
+                    : p.pipeline       ? "pipelined"
+                                       : "barriered";
   out += p.transport == TransportKind::kShmRing ? "/shm" : "/inproc";
   out += "@" + std::to_string(p.num_threads);
   return out;
@@ -127,7 +121,7 @@ std::string label(const ExecutionPolicy& p) {
 
 // Full delivery trace of a BFS flood via the MANUAL round loop — this is the
 // path where shm publishes happen in end_round()'s barriered publish_all(),
-// with no seal schedule in play.
+// with no pipelined seal in play.
 std::vector<std::uint64_t> manual_loop_trace(const Graph& g,
                                              ExecutionPolicy policy) {
   Engine eng(g, policy);
@@ -163,8 +157,7 @@ std::vector<std::uint64_t> manual_loop_trace(const Graph& g,
 }
 
 // Full per-node observation trace of a chatter run through run() — the path
-// where shm publishes ride the §8 seal points (or whole-shard seals under
-// the non-eager pipelined close).
+// where shm publishes ride the §8 seals under the pipelined close.
 std::vector<std::vector<std::uint64_t>> run_trace(const Graph& g,
                                                   ExecutionPolicy policy) {
   Engine eng(g, policy);
@@ -195,7 +188,8 @@ std::vector<std::vector<std::uint64_t>> run_trace(const Graph& g,
 TEST(ShmTransport, ManualLoopTraceIdenticalToInProc) {
   Rng rng(17);
   const Graph g = graph::gen::random_connected(300, 900, rng);
-  const auto reference = manual_loop_trace(g, ExecutionPolicy{1});
+  const auto reference =
+      manual_loop_trace(g, ExecutionPolicy{.num_threads = 1});
   ASSERT_GT(reference.size(), 4u);
   for (ExecutionPolicy policy : kParallelPolicies) {
     policy.transport = TransportKind::kShmRing;
@@ -205,7 +199,7 @@ TEST(ShmTransport, ManualLoopTraceIdenticalToInProc) {
 
 TEST(ShmTransport, RunTraceIdenticalToInProcAcrossCloseModes) {
   const Graph g = graph::gen::torus(8, 8);
-  const auto reference = run_trace(g, ExecutionPolicy{1});
+  const auto reference = run_trace(g, ExecutionPolicy{.num_threads = 1});
   for (ExecutionPolicy policy : kParallelPolicies) {
     const auto inproc = run_trace(g, policy);
     EXPECT_EQ(reference, inproc) << label(policy);
@@ -216,8 +210,7 @@ TEST(ShmTransport, RunTraceIdenticalToInProcAcrossCloseModes) {
 
 TEST(ShmTransport, ReportsArmedKindAndSingleShardDegenerates) {
   const Graph g = graph::gen::grid(6, 6);
-  ExecutionPolicy shm{4, true, true, false};
-  shm.transport = TransportKind::kShmRing;
+  ExecutionPolicy shm{.num_threads = 4, .transport = TransportKind::kShmRing};
   Engine multi(g, shm);
   EXPECT_EQ(multi.transport_kind(), TransportKind::kShmRing);
 
@@ -227,7 +220,7 @@ TEST(ShmTransport, ReportsArmedKindAndSingleShardDegenerates) {
   Engine single(g, shm);
   EXPECT_EQ(single.transport_kind(), TransportKind::kInProc);
 
-  Engine def(g, ExecutionPolicy{4, true, true, false});
+  Engine def(g, ExecutionPolicy{.num_threads = 4});
   EXPECT_EQ(def.transport_kind(), TransportKind::kInProc);
 }
 
@@ -236,7 +229,8 @@ TEST(ShmTransport, ReportsArmedKindAndSingleShardDegenerates) {
 // leaf shards publish empty buckets every round.
 TEST(ShmTransport, SkewedTrafficIdenticalToInProc) {
   const Graph g = graph::gen::star(257);
-  const auto reference = manual_loop_trace(g, ExecutionPolicy{1});
+  const auto reference =
+      manual_loop_trace(g, ExecutionPolicy{.num_threads = 1});
   for (ExecutionPolicy policy : kParallelPolicies) {
     policy.transport = TransportKind::kShmRing;
     EXPECT_EQ(reference, manual_loop_trace(g, policy)) << label(policy);
@@ -258,10 +252,9 @@ TEST(ShmTransport, SkewedTrafficIdenticalToInProc) {
 // dump must now include the transport's per-ring liveness lines — the
 // starved link shows "awaiting publish".
 [[maybe_unused]] void run_shm_with_withheld_seal(const Graph& g) {
-  ExecutionPolicy policy{4, true, true};
-  policy.watchdog_ms = 1000;
-  policy.transport = TransportKind::kShmRing;
-  Engine eng(g, policy);
+  Engine eng(g, ExecutionPolicy{.num_threads = 4,
+                                .watchdog_ms = 1000,
+                                .transport = TransportKind::kShmRing});
   eng.debug_withhold_seal(1, 0);
   std::vector<int> left(static_cast<std::size_t>(g.n()), 3);
   for (int v = 0; v < g.n(); ++v) eng.wake(v);

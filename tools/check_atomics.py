@@ -1,9 +1,9 @@
 #!/usr/bin/env python3
 """Audit the engine's atomics for explicit ordering and PAIR discipline.
 
-The lock-free surface of the sharded engine — executor claim deques,
-per-edge seal flags, ring pub_seq handshakes (DESIGN.md §8/§10) — depends
-on release/acquire pairings that prose documents and TSan only samples.
+The lock-free surface of the sharded engine — executor dependency counters
+and merge claims, ring pub_seq handshakes (DESIGN.md §8/§10) — depends on
+release/acquire pairings that prose documents and TSan only samples.
 This lint makes them machine-checked (DESIGN.md §11):
 
   1. Every std::atomic load/store/RMW/wait in the audited files must name
