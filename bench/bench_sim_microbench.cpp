@@ -152,18 +152,14 @@ void run() {
   // skew < 0 = not a skewed workload: no skew column in the JSON row, so the
   // row keys of every pre-existing workload are unchanged and old baselines
   // keep matching (check_regression defaults absent skew to 8 on both sides).
-  // transport == nullptr: the in-proc data plane; no transport column in the
-  // JSON row, so every pre-existing row key is unchanged and old baselines
-  // keep matching (check_regression defaults absent transport to "inproc").
   auto report = [&](const std::string& name, const graph::Graph& g,
                     int threads, int pipe, int reps, const Result& r,
-                    int skew = -1, double imbalance = -1.0,
-                    const char* transport = nullptr) {
+                    int skew = -1, double imbalance = -1.0) {
     const double ns_per_round =
         static_cast<double>(r.median_ns) / std::max<std::uint64_t>(1, r.rounds);
     const double ns_per_msg = static_cast<double>(r.median_ns) /
                               std::max<std::uint64_t>(1, r.messages);
-    table.add_row({transport == nullptr ? name : name + "/" + transport,
+    table.add_row({name,
                    fm(static_cast<std::uint64_t>(g.n())),
                    fm(static_cast<std::uint64_t>(g.m())),
                    fm(static_cast<std::uint64_t>(threads)), kPipeNames[pipe],
@@ -187,7 +183,6 @@ void run() {
       row.push_back({"skew", skew});
       if (imbalance >= 0) row.push_back({"shard_imbalance", imbalance});
     }
-    if (transport != nullptr) row.push_back({"transport", std::string(transport)});
     json.add_row(std::move(row));
   };
 
@@ -212,19 +207,6 @@ void run() {
         const auto r =
             measure(eng, 3, reps, [&] { flood_workload(eng, seen); });
         report("flood_steady", g, threads, pipe, reps, r);
-        if (threads > 1) {
-          // The same workload over the §10 shared-memory ring transport:
-          // every cross-shard bucket pays serialize + ring + deserialize.
-          // The gap to the in-proc row above IS the transport tax, gated so
-          // the wire path cannot quietly rot.
-          sim::ExecutionPolicy shm = policy_of(threads, pipe);
-          shm.transport = sim::TransportKind::kShmRing;
-          sim::Engine ring_eng(g, shm);
-          std::vector<char> ring_seen(static_cast<std::size_t>(g.n()), 0);
-          const auto rr = measure(ring_eng, 3, reps,
-                                  [&] { flood_workload(ring_eng, ring_seen); });
-          report("flood_steady", g, threads, pipe, reps, rr, -1, -1.0, "shm");
-        }
       }
     }
     {

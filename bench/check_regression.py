@@ -52,17 +52,15 @@ METRIC = "ns_per_message"
 # column existed keep matching: `pipeline` predates the close-mode sweep
 # (0 = barriered was the only mode), `skew` predates the skewed_flood
 # hot-band sweep (8 = the historical top-n/8 band; non-skewed workloads
-# never carry the field, so they default identically on both sides), and
-# `transport` predates the §10 shared-memory ring backend ("inproc" was the
-# only data plane transport).
-KEY_DEFAULTS = {"pipeline": 0, "skew": 8, "transport": "inproc"}
+# never carry the field, so they default identically on both sides).
+KEY_DEFAULTS = {"pipeline": 0, "skew": 8}
 
 # Key fields per benchmark name (the "benchmark" field of the artifact).
 # `gated`: regressions FAIL; otherwise the comparison is report-only.
 SCHEMAS = {
     "engine_microbench": {
         "file": "BENCH_engine.json",
-        "keys": ("workload", "n", "threads", "pipeline", "skew", "transport"),
+        "keys": ("workload", "n", "threads", "pipeline", "skew"),
         "gated": True,
     },
     "mst_corollary_1_3": {

@@ -27,13 +27,11 @@ KEYS = cr.SCHEMAS["engine_microbench"]["keys"]
 
 
 def row(workload="flood_steady", n=1024, threads=1, pipeline=0, metric=10.0,
-        skew=None, transport=None):
+        skew=None):
     r = {"workload": workload, "n": n, "threads": threads,
          "pipeline": pipeline}
     if skew is not None:
         r["skew"] = skew
-    if transport is not None:
-        r["transport"] = transport
     if metric is not None:
         r[cr.METRIC] = metric
     return r
@@ -152,57 +150,6 @@ class SkewKeyTest(unittest.TestCase):
                     "engine_microbench", pooled, baseline, 0.20)
         self.assertEqual(compared, 1)
         self.assertEqual(regressions, [])
-
-
-class TransportKeyTest(unittest.TestCase):
-    """The transport column joined the engine schema after baselines existed
-    (the §10 shm ring backend): transport-less rows must keep gating against
-    explicit transport="inproc" rows (the KEY DEFAULT — in-proc was the only
-    data plane), while shm rows form distinct, independently gated keys."""
-
-    def _compare(self, current_rows, baseline_rows):
-        pooled = cr.pool_medians([current_rows], KEYS)
-        with tempfile.TemporaryDirectory() as tmp:
-            baseline = os.path.join(tmp, "BENCH_engine.json")
-            with open(baseline, "w") as f:
-                json.dump({"benchmark": "engine_microbench",
-                           "rows": baseline_rows}, f)
-            out = io.StringIO()
-            with redirect_stdout(out):
-                regressions, compared = cr.compare(
-                    "engine_microbench", pooled, baseline, 0.20)
-        return regressions, compared, out.getvalue()
-
-    def test_old_transportless_baseline_matches_explicit_inproc_row(self):
-        regressions, compared, _ = self._compare(
-            [row(threads=4, transport="inproc", metric=30.0)],
-            [row(threads=4, metric=10.0)])
-        self.assertEqual(compared, 1)  # matched despite the baseline's
-        self.assertEqual(len(regressions), 1)  # missing field — and gated
-
-    def test_shm_and_inproc_rows_are_distinct_keys(self):
-        pooled = cr.pool_medians(
-            [[row(threads=4, metric=10.0),
-              row(threads=4, transport="shm", metric=10.0)]], KEYS)
-        self.assertEqual(len(pooled), 2)
-
-    def test_new_shm_row_reports_as_new_against_old_baseline(self):
-        regressions, compared, out = self._compare(
-            [row(threads=4, metric=10.0),
-             row(threads=4, transport="shm", metric=99.0)],
-            [row(threads=4, metric=10.0)])
-        self.assertEqual(compared, 1)
-        self.assertEqual(regressions, [])
-        self.assertIn("[new]", out)
-
-    def test_shm_regression_gates_independently(self):
-        regressions, compared, _ = self._compare(
-            [row(threads=4, metric=10.0),
-             row(threads=4, transport="shm", metric=40.0)],
-            [row(threads=4, metric=10.0),
-             row(threads=4, transport="shm", metric=12.0)])
-        self.assertEqual(compared, 2)
-        self.assertEqual(len(regressions), 1)
 
 
 class GoneRowTest(unittest.TestCase):

@@ -18,8 +18,9 @@ int main() {
   using namespace pw;
   Rng rng(11);
   graph::Graph net = graph::gen::random_connected(600, 1800, rng);
-  // Multi-threaded by default (DESIGN.md §7: policy never moves results).
-  const auto policy = sim::ExecutionPolicy::hardware();
+  // Sequential (the default policy; DESIGN.md §7: policy never moves
+  // results).
+  const sim::ExecutionPolicy policy{};
 
   // Claimed backbone: a BFS tree... with one "fat finger" edge swapped in.
   const auto dist = graph::bfs_distances(net, 0);

@@ -30,8 +30,9 @@ int main() {
     free_mem[v] = 4 + rng.next_below(60);
   }
 
-  // Multi-threaded by default (DESIGN.md §7: policy never moves results).
-  sim::Engine engine(fabric, sim::ExecutionPolicy::hardware());
+  // Sequential (the default policy; DESIGN.md §7: policy never moves
+  // results).
+  sim::Engine engine(fabric, sim::ExecutionPolicy{});
   const auto max_load = core::pa_noleader(engine, zones, agg::max(), load, {});
   const auto min_free = core::pa_noleader(engine, zones, agg::min(), free_mem, {});
 

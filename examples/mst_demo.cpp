@@ -30,8 +30,9 @@ int main() {
   std::printf("WAN: %d routers, %d links, diameter %d\n", wan.n(), wan.m(),
               graph::diameter_estimate(wan));
 
-  // Multi-threaded by default (DESIGN.md §7: policy never moves results).
-  const auto policy = sim::ExecutionPolicy::hardware();
+  // Sequential (the default policy; DESIGN.md §7: policy never moves
+  // results).
+  const sim::ExecutionPolicy policy{};
   sim::Engine ours_eng(wan, policy);
   const auto ours = apps::boruvka_mst(ours_eng, {});
   sim::Engine ghs_eng(wan, policy);

@@ -5,9 +5,9 @@
 //
 //   algorithm: pa | pa-noleader | mst | mincut | sssp | kdom | cds | arq
 //   family:    gnm | grid | torus | apex | ktree | caterpillar | path
-//   --threads: engine worker threads (default: hardware concurrency). The
-//              results and the round/message accounting are identical at any
-//              thread count (DESIGN.md §7) — only the wall clock moves.
+//   --threads: engine worker threads (default: 1). The results and the
+//              round/message accounting are identical at any thread count
+//              (DESIGN.md §7) — only the wall clock moves.
 //
 // Fault-injection flags (DESIGN.md §9) arm the deterministic fault plane:
 //   --fault-seed S   hash seed for the drop/delay/dup verdicts (default 1)
@@ -172,7 +172,7 @@ int usage(const char* argv0) {
   std::fprintf(stderr,
                "usage: %s <pa|pa-noleader|mst|mincut|sssp|kdom|cds|arq> "
                "<gnm|grid|torus|apex|ktree|caterpillar|path> [n=512] "
-               "[seed=1] [--threads K] [--transport inproc|shm] "
+               "[seed=1] [--threads K] "
                "[--fault-seed S] [--drop P] "
                "[--delay P] [--dup P] [--crash R:V | --crash A-B:V]\n"
                "  n must be in [min, 2^24] (min: gnm 7, ktree 4, path 2, "
@@ -187,8 +187,9 @@ int usage(const char* argv0) {
 int main(int argc, char** argv) {
   // Pull "--flag V" / "--flag=V" options out of argv; the rest stay
   // positional. A trailing flag with no value is an error, not a positional.
-  int threads = sim::ExecutionPolicy::hardware().num_threads;
-  sim::TransportKind transport = sim::TransportKind::kInProc;
+  // Sequential by default: at CLI sizes the worker dispatch costs more than
+  // the sharded sweep saves, and results never depend on the thread count.
+  int threads = sim::ExecutionPolicy{}.num_threads;
   sim::FaultPolicy faults;
   bool bad_flag = false;
   std::vector<const char*> pos;
@@ -212,13 +213,6 @@ int main(int argc, char** argv) {
     };
     if (match("--threads")) {
       bad_flag = !parse_int(val, 1, kMaxThreads, &threads);
-    } else if (match("--transport")) {
-      if (std::strcmp(val, "shm") == 0)
-        transport = sim::TransportKind::kShmRing;
-      else if (std::strcmp(val, "inproc") == 0)
-        transport = sim::TransportKind::kInProc;
-      else
-        bad_flag = true;
     } else if (match("--fault-seed")) {
       bad_flag = !parse_u64(val, 0, &faults.seed);
     } else if (match("--drop")) {
@@ -250,8 +244,7 @@ int main(int argc, char** argv) {
       (pos.size() > 3 && !parse_u64(pos[3], 10, &seed)) ||
       faults.drop_prob + faults.delay_prob + faults.dup_prob > 1.0)
     return usage(argv[0]);
-  const sim::ExecutionPolicy policy{.num_threads = threads,
-                                    .transport = transport};
+  const sim::ExecutionPolicy policy{.num_threads = threads};
 
   Rng rng(seed);
   graph::Graph g = make_graph(family, n, rng);
@@ -261,10 +254,8 @@ int main(int argc, char** argv) {
                    c.node, g.n());
       return usage(argv[0]);
     }
-  std::printf("graph: %s  n=%d m=%d D~%d  threads=%d transport=%s\n",
-              family.c_str(), g.n(), g.m(), graph::diameter_estimate(g),
-              threads,
-              transport == sim::TransportKind::kShmRing ? "shm" : "inproc");
+  std::printf("graph: %s  n=%d m=%d D~%d  threads=%d\n", family.c_str(),
+              g.n(), g.m(), graph::diameter_estimate(g), threads);
 
   core::PaSolverConfig cfg;
   cfg.seed = seed;

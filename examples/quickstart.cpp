@@ -25,9 +25,9 @@ int main() {
 
   // One engine per simulated network; every message the algorithms send
   // flows through it.
-  // Multi-threaded by default: results and accounting are identical at
-  // any thread count (DESIGN.md §7); only the wall clock moves.
-  sim::Engine engine(g, sim::ExecutionPolicy::hardware());
+  // Sequential (the default policy): results and accounting are identical
+  // at any thread count (DESIGN.md §7); only the wall clock moves.
+  sim::Engine engine(g, sim::ExecutionPolicy{});
   core::PaSolver solver(engine, {});
   solver.set_partition(parts);
 

@@ -43,7 +43,6 @@
 #include "src/sim/executor.hpp"
 #include "src/sim/fault_plane.hpp"
 #include "src/sim/message.hpp"
-#include "src/sim/transport.hpp"
 #include "src/util/check.hpp"
 
 namespace pw::sim {
@@ -56,21 +55,11 @@ class DataPlane {
   // duplicated fresh one), and the single-shard plane gives up its
   // stage()-time wake fast path so every shard count takes identical fault
   // decisions in identical places.
-  // `transport` (§10) selects what carries sealed buckets between shards:
-  // kInProc aliases the merge's receive views to the staging arena (the
-  // identity transport — zero behavior change), kShmRing serializes each
-  // bucket into a shared-memory SPSC ring when it seals and the merge
-  // deserializes before reading. Single-shard planes have no cross-shard
-  // links and degenerate to kInProc whatever was requested.
   DataPlane(const graph::Graph& g, int max_shards,
-            const FaultPolicy* faults = nullptr,
-            TransportKind transport = TransportKind::kInProc);
+            const FaultPolicy* faults = nullptr);
 
   int num_shards() const { return num_shards_; }
   int shard_of(int v) const { return v >> shard_shift_; }
-  // The transport actually armed (kInProc when a single-shard plane
-  // degenerated a kShmRing request).
-  TransportKind transport_kind() const { return transport_->kind(); }
 
   // --- fault plane (§9) -----------------------------------------------------
   bool faulty() const { return fault_ != nullptr; }
@@ -197,10 +186,10 @@ class DataPlane {
   bool in_parallel_callbacks() const { return parallel_callbacks_; }
 
   // Watchdog dump (§9): prints each shard's sweep position (current_cb,
-  // active slice), per-bucket cursor fills, and the transport's link states
-  // to stderr. Called by the executor's watchdog right before it aborts a
-  // wedged close; reads without synchronization (every surviving thread is
-  // parked, and the process is about to die anyway).
+  // active slice) and per-bucket cursor fills to stderr. Called by the
+  // executor's watchdog right before it aborts a wedged close; reads without
+  // synchronization (every surviving thread is parked, and the process is
+  // about to die anyway).
   void watchdog_dump() const;
 
   // TEST HOOK (wrap coverage): jumps the round id and wake epoch to arbitrary
@@ -269,24 +258,14 @@ class DataPlane {
   // Destination shard d's merge and its pieces. scatter_due / scatter_bucket
   // do the counting + wake discovery (+ fault verdicts and their side
   // effects) for the delayed-due prefix / one feeder bucket; commit_shard
-  // assigns run offsets from the static delivery base, performs the stable
-  // delivery copy in ascending sender order, and retires the destination's
-  // drained frames. fate_of is the §9 verdict of one staged record, passed
-  // by value off the bucket view (both passes call it and must take
+  // assigns run offsets from the static delivery base and performs the
+  // stable delivery copy in ascending sender order. fate_of is the §9
+  // verdict of one staged record (both passes call it and must take
   // identical branches; side effects only with discovery).
   void merge_shard(int d, std::uint32_t next_stamp);
   void scatter_due(int d);
   void scatter_bucket(int d, int s);
   void commit_shard(int d, std::uint32_t next_stamp);
-  // §10 transport plumbing (no-ops compiled out when the transport is
-  // in-proc). publish_bucket publishes bucket (s, d)'s frame — already
-  // staged in place through the bucket view, so this is a count store plus
-  // a release bump — when its sender shard seals, via the executor's on_seal
-  // hook. publish_all is the barriered close's equivalent: every bucket at
-  // once, on the caller thread, before the merges dispatch (the stamp-wrap
-  // fallback and manual end_round() loops have no pipelined seals).
-  void publish_bucket(int s, int d);
-  void publish_all();
   void count_in(Shard& sh, int to, int k);
   Fate fate_of(int to, const Incoming& inc, int d, bool discovery);
   // Claim weight of destination d's merge for the executor's largest-first
@@ -333,6 +312,12 @@ class DataPlane {
     const auto i = static_cast<std::size_t>(s) * cur_stride_ + d;
     return bucket_cur_[i >> 4].w[i & 15];
   }
+  // First staging slot of bucket (sender s, dest d): stage() appends there
+  // and the merge (scatter, fault verdicts, the delivery copy) reads there.
+  std::size_t bucket_beg(int s, int d) const {
+    return static_cast<std::size_t>(
+        bucket_base_[static_cast<std::size_t>(d) * num_shards_ + s]);
+  }
 
   std::vector<ArcRec> arc_;
   // SoA staging arenas, partitioned into buckets (§8): slot i of the flat
@@ -351,18 +336,6 @@ class DataPlane {
   Incoming* staging_inc_ = nullptr;  // element i: staging_raw_ byte i*sizeof
   int* staging_to_ = nullptr;        // after the payloads, same count
 
-  // The §10 transport and the per-bucket views BOTH sides use: stage()
-  // appends bucket (s → d)'s records through bucket_view_[d * S + s] and the
-  // merge (scatter, fault verdicts, the delivery copy) reads the same view —
-  // staged bytes ARE received bytes on every transport. In-proc every view
-  // aliases the staging arena and the transport is never called
-  // (shm_transport_ false — the §8 behavior, bit for bit); under kShmRing
-  // cross-shard views point INTO the ring frame regions, so the seal's
-  // publish is a pure release-bump and the merge reads frames in place,
-  // retiring each after the commit copied it out.
-  std::unique_ptr<Transport> transport_;
-  bool shm_transport_ = false;
-  std::vector<BucketView> bucket_view_;  // (d * S + s), fixed at construction
   std::vector<int> bucket_base_;    // bucket (d, s) at [d * S + s], size S²+1
   std::vector<CurLine> bucket_cur_;
   std::vector<Incoming> delivery_;

@@ -10,8 +10,7 @@ Engine::Engine(const graph::Graph& g, ExecutionPolicy policy,
     : g_(&g),
       // A disabled fault policy (the default) arms nothing — same engine,
       // bit for bit.
-      dp_(g, policy.num_threads < 1 ? 1 : policy.num_threads, &faults,
-          policy.transport),
+      dp_(g, policy.num_threads < 1 ? 1 : policy.num_threads, &faults),
       // Shard rounding can leave fewer shards than requested threads; never
       // spawn workers that could have no shard to own.
       exec_(dp_.num_shards(), policy.watchdog_ms),

@@ -89,12 +89,6 @@ class Engine {
   // scheduling property: accounting and delivery are identical either way.
   bool pipelined() const { return pipeline_ && dp_.num_shards() > 1; }
 
-  // The transport actually carrying cross-shard buckets (§10): kShmRing when
-  // requested on a multi-shard engine, else kInProc (a single shard has no
-  // links to carry). Like the close mode, purely a data-plane property —
-  // delivery traces and accounting are bit-identical on either.
-  TransportKind transport_kind() const { return dp_.transport_kind(); }
-
   // Schedules v to be processed next round even if it receives no message.
   // On a faulty() engine the wake is suppressed (and counted) while v is
   // crashed (§9).

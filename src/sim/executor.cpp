@@ -330,10 +330,6 @@ void Executor::seal(int d) {
     withhold_task_.store(-1, std::memory_order_relaxed);
     return;
   }
-  // Transport publish hook (§10): runs on the sealing thread before the
-  // dependency counter drops, so the seal's own release chain is what
-  // carries the published frame to the merge.
-  if (seal_fn_ != nullptr) seal_fn_(ctx_, tl_task, d);
   progress_.fetch_add(1, std::memory_order_relaxed);
   // PAIR(deps-left): RMW chain — each decrement acquires every earlier
   // feeder's release, so the zero-dropper holds ALL of d's inputs
@@ -456,7 +452,6 @@ void Executor::pipeline(int num_tasks, TaskFn stage1, TaskFn stage2,
   ctx_ = ctx;
   num_tasks_ = num_tasks;
   size_fn_ = opts.size_of;
-  seal_fn_ = opts.on_seal;
   outstanding_.store(static_cast<int>(workers_.size()), std::memory_order_relaxed);
   // PAIR(dispatch-generation): the pipeline fields + counter resets above,
   // published to the workers
@@ -466,7 +461,6 @@ void Executor::pipeline(int num_tasks, TaskFn stage1, TaskFn stage2,
   wait_barrier();
   stage2_ = nullptr;
   size_fn_ = nullptr;
-  seal_fn_ = nullptr;
   // Every dependency edge must have been sealed exactly once: a missed seal
   // would have deadlocked a merge (the claim loop above would never return),
   // a double seal leaves a counter negative here and could have published a

@@ -25,25 +25,12 @@
 // thread that seals a stage-2 task's last feeder publishes it.
 #pragma once
 
-#include <algorithm>
 #include <atomic>
 #include <cstdint>
 #include <thread>
 #include <vector>
 
 namespace pw::sim {
-
-// Which transport carries sealed buckets between shards (DESIGN.md §10).
-// kInProc — the identity transport: the merge reads the staging arena the
-// senders wrote, ordered by the §8 seal machinery alone. The pre-§10 engine,
-// bit for bit, and the default. kShmRing — sealed buckets are serialized
-// into fixed-width SPSC shared-memory rings (one per nonzero cross-shard
-// link) when they seal and deserialized by the consuming merge; delivery
-// traces stay bit-identical, messages just really cross a serialization
-// boundary. Engines with a single shard have no links and
-// silently degenerate to kInProc. Defined here rather than transport.hpp so
-// ExecutionPolicy stays self-contained (transport.hpp includes this header).
-enum class TransportKind : std::uint8_t { kInProc = 0, kShmRing = 1 };
 
 // How Engine executes rounds. num_threads == 1 (the default) is the fully
 // sequential engine: no worker threads are spawned and every dispatch runs
@@ -67,9 +54,6 @@ enum class TransportKind : std::uint8_t { kInProc = 0, kShmRing = 1 };
 // states — instead of hanging CI forever. The known failure class it
 // converts into a diagnosis is a missed seal (§8); the PW_WATCHDOG_MS
 // environment variable overrides the policy value for whole-process tuning.
-// `transport` (default kInProc) selects what carries sealed buckets between
-// shards — see TransportKind above. Purely a data-plane property: both close
-// modes, the fault plane, and the accounting run unchanged on either.
 //
 // Construct with designated initializers ({.num_threads = 4,
 // .pipeline = false}) so a field list that changes is a compile error, not a
@@ -78,15 +62,6 @@ struct ExecutionPolicy {
   int num_threads = 1;
   bool pipeline = true;
   int watchdog_ms = 60000;
-  TransportKind transport = TransportKind::kInProc;
-
-  // The default multi-threaded policy: one worker per hardware thread
-  // (pipelined close on). What the examples and CLIs construct engines with
-  // unless the user picks a thread count explicitly.
-  static ExecutionPolicy hardware() {
-    return {.num_threads = static_cast<int>(
-                std::max(1u, std::thread::hardware_concurrency()))};
-  }
 };
 
 class Executor {
@@ -110,16 +85,8 @@ class Executor {
   // largest-first claim order; every feeder of d has sealed by then, so it
   // may read all of d's staged inputs. Null = all tasks weigh 0 and claims
   // fall back to lowest-index-first.
-  // on_seal, when non-null, is invoked as on_seal(ctx, s, d) at the top of
-  // every effective seal of edge (s → d), on the sealing thread, BEFORE the
-  // dependency counter drops. The data plane publishes bucket (s, d) on its
-  // transport there (§10): the seal's release chain then carries the
-  // published frame to whichever thread merges d. A withheld seal
-  // (debug_withhold_seal) suppresses the hook too — it models the seal never
-  // happening.
   struct PipelineOpts {
     int (*size_of)(void* ctx, int d) = nullptr;
-    void (*on_seal)(void* ctx, int s, int d) = nullptr;
   };
 
   // Spawns num_threads - 1 workers (thread 0 is the caller). watchdog_ms
@@ -245,7 +212,6 @@ class Executor {
   int num_tasks_ = 0;
   bool stop_ = false;
   int (*size_fn_)(void*, int) = nullptr;  // largest-first claim weights
-  void (*seal_fn_)(void*, int, int) = nullptr;  // §10 transport publish hook
   // Dispatch protocol: fn_/ctx_/stage2_/deps_/num_tasks_/stop_ and the
   // pipeline counters below are written by the caller, then published by the
   // generation bump (release); workers acquire-load the generation, run their

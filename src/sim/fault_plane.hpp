@@ -1,10 +1,9 @@
 // Deterministic fault-injection plane of the CONGEST engine (DESIGN.md §9).
 //
-// The paper's model (§2.1) assumes perfectly reliable synchronous rounds; the
-// transport the engine is growing toward (ROADMAP: shared-memory rings, then
-// sockets) does not. This plane lets any workload run under a reproducible
-// fault model TODAY, so the algorithm stack and the close pipeline are
-// chaos-tested before a real network ever gets to misbehave.
+// The paper's model (§2.1) assumes perfectly reliable synchronous rounds.
+// This plane lets any workload run under a reproducible fault model (drops,
+// delays, duplicates, crashes), so the algorithm stack and the close
+// pipeline are chaos-tested against the failures the model rules out.
 //
 // Every fault decision is derived from a counter-based hash of
 // (seed, delivery round, message slot), where the slot is the receiver-side

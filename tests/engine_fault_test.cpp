@@ -41,11 +41,9 @@ constexpr ExecutionPolicy kAllPolicies[] = {
     {.num_threads = 4, .pipeline = true}};
 
 std::string label(const ExecutionPolicy& p) {
-  std::string out = p.num_threads == 1 ? "sequential"
-                    : p.pipeline       ? "pipelined"
-                                       : "barriered";
-  if (p.transport == TransportKind::kShmRing) out += "/shm";
-  return out;
+  return p.num_threads == 1 ? "sequential"
+         : p.pipeline       ? "pipelined"
+                            : "barriered";
 }
 
 // Full per-node observation trace of a faulty run: every (activation, from,
@@ -74,13 +72,8 @@ void expect_fault_trace_equal_across_policies(const Graph& g,
                                               const FaultPolicy& faults,
                                               Drive&& drive) {
   const auto reference = fault_trace_of(g, kAllPolicies[0], faults, drive);
-  for (auto policy : kAllPolicies) {
+  for (const auto& policy : kAllPolicies) {
     if (policy.num_threads == 1) continue;
-    EXPECT_EQ(reference, fault_trace_of(g, policy, faults, drive))
-        << label(policy) << " @" << policy.num_threads;
-    // The §9 verdicts apply at the merge's receive views, so swapping the
-    // §10 transport under the same policy must not move a single fate.
-    policy.transport = TransportKind::kShmRing;
     EXPECT_EQ(reference, fault_trace_of(g, policy, faults, drive))
         << label(policy) << " @" << policy.num_threads;
   }
@@ -227,12 +220,9 @@ TEST(FaultTrace, SevenFaultConfigsIdenticalUnderPipelinedClose) {
     const auto reference =
         fault_trace_of(g, kAllPolicies[0], configs[i], chatter_drive);
     for (const int threads : {2, 4}) {
-      ExecutionPolicy pipe{.num_threads = threads, .pipeline = true};
+      const ExecutionPolicy pipe{.num_threads = threads, .pipeline = true};
       EXPECT_EQ(reference, fault_trace_of(g, pipe, configs[i], chatter_drive))
           << "config " << i << " @" << threads;
-      pipe.transport = TransportKind::kShmRing;
-      EXPECT_EQ(reference, fault_trace_of(g, pipe, configs[i], chatter_drive))
-          << "config " << i << " @" << threads << " shm";
     }
   }
 }

@@ -1,13 +1,12 @@
-// Differential trace fuzzing of the engine's execution-mode matrix (§7–§10).
+// Differential trace fuzzing of the engine's execution-mode matrix (§7–§9).
 //
 // The determinism suites pin hand-picked workloads; this harness pins the
 // space between them. Each iteration derives — from one seed — a random
 // graph (family × size) and a random callback program (which ports each
 // activation sends on, payloads, self-wakes, and a mid-run drain segment),
 // then replays the identical program on the sequential engine and on every
-// parallel configuration: {2,4} threads × {barriered, pipelined} ×
-// {in-proc, shm-ring transport}, plus a fault-policy sample
-// of the whole matrix. Every replay must produce a bit-identical full
+// parallel configuration: {2,4} threads × {barriered, pipelined}, under
+// each policy of a fault-policy sample. Every replay must produce a bit-identical full
 // observation trace (per-node inbox tuples in order, totals, fault
 // counters).
 //
@@ -152,9 +151,8 @@ constexpr ExecutionPolicy kFuzzPolicies[] = {
     {.num_threads = 4, .pipeline = true}};
 
 std::string label(const ExecutionPolicy& p) {
-  std::string out = p.pipeline ? "pipelined" : "barriered";
-  out += p.transport == TransportKind::kShmRing ? "/shm" : "/inproc";
-  return out + "@" + std::to_string(p.num_threads);
+  return std::string(p.pipeline ? "pipelined" : "barriered") + "@" +
+         std::to_string(p.num_threads);
 }
 
 // The fault-policy sample: fault-free, drop-only, mixed, and crash+mixed —
@@ -196,18 +194,15 @@ TEST(EngineFuzz, TraceIdenticalAcrossFullConfigMatrix) {
           g, seed, ExecutionPolicy{.num_threads = 1, .pipeline = false},
           faults[f]);
       total_messages += reference[reference.size() - 2][1];
-      for (ExecutionPolicy policy : kFuzzPolicies) {
+      for (const ExecutionPolicy& policy : kFuzzPolicies) {
         EXPECT_EQ(reference, fuzz_trace(g, seed, policy, faults[f]))
             << label(policy) << " fault-config " << f << " n=" << g.n();
-        policy.transport = TransportKind::kShmRing;
-        EXPECT_EQ(reference, fuzz_trace(g, seed, policy, faults[f]))
-            << label(policy) << " fault-config " << f << " n=" << g.n();
-        // Extra soak on the deepest configuration — the pipelined close
-        // over the in-place shm wire path stacks every protocol (seals,
-        // frame publish/retire, largest-first claims), so it gets
-        // PW_FUZZ_INC_SHM_REPS more replays than the rest of the matrix.
+        // Extra soak on the pipelined rows — the pipelined close stacks
+        // every scheduling protocol (seals, dependency counters,
+        // largest-first claims), so each gets PW_FUZZ_SOAK_REPS more
+        // replays than the barriered rows.
         if (policy.pipeline) {
-          const std::uint64_t reps = env_u64("PW_FUZZ_INC_SHM_REPS", 2);
+          const std::uint64_t reps = env_u64("PW_FUZZ_SOAK_REPS", 2);
           for (std::uint64_t r = 0; r < reps; ++r)
             EXPECT_EQ(reference, fuzz_trace(g, seed, policy, faults[f]))
                 << label(policy) << " soak rep " << r << " fault-config " << f
