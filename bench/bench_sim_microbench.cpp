@@ -19,6 +19,10 @@
 //                 the per-shard incoming-message imbalance (max/mean over
 //                 destination shards, `shard_imbalance`) that the size-aware
 //                 largest-first merge claim is scheduling against.
+//   token_ring    one token passed around cycle(n) — one active node and one
+//                 message per round, many rounds: the per-round fixed cost
+//                 (round open, dispatch, close) that a round-heavy,
+//                 message-light algorithm pays, with ns/message == ns/round.
 //   bfs_tree      build_bfs_tree per repetition (engine per rep).
 //   convergecast  forest_convergecast per repetition (engine per rep).
 //
@@ -28,11 +32,9 @@
 // Thread counts are autotuned from std::thread::hardware_concurrency() via
 // the shared bench::thread_sweep helper (bench/common.hpp) — {1, 2, hc}
 // deduped, capped at the workload's node count, PW_BENCH_THREADS override.
-// Every JSON row records the detected core count (`host_threads`) so
-// artifacts from different runner classes are distinguishable, and
-// multi-thread flood rows are swept over both round-close modes of
-// DESIGN.md §7/§8 (`pipeline` column: 0 = barriered, 1 = pipelined), so the
-// regression gate watches each close mode independently.
+// Every JSON row records the detected core count (`host_threads`), and the
+// regression gate refuses to compare a capture against a baseline taken on
+// a different host class.
 #include "bench/common.hpp"
 #include "bench/workloads.hpp"
 #include "src/tree/treeops.hpp"
@@ -138,22 +140,16 @@ double shard_imbalance(const graph::Graph& g, int threads, int skew) {
 }
 
 void run() {
-  Table table({"workload", "n", "m", "threads", "pipe", "skew", "reps",
+  Table table({"workload", "n", "m", "threads", "skew", "reps",
                "rounds/rep", "msgs/rep", "ns/round", "ns/msg", "ms/rep"});
   JsonEmitter json("engine_microbench");
   const int host_threads = detected_cores();
 
-  // `pipe` is the pipeline column of the artifact: 0 = barriered close,
-  // 1 = pipelined close (DESIGN.md §8).
-  auto policy_of = [](int threads, int pipe) {
-    return sim::ExecutionPolicy{.num_threads = threads, .pipeline = pipe == 1};
-  };
-  const char* const kPipeNames[] = {"off", "on"};
   // skew < 0 = not a skewed workload: no skew column in the JSON row, so the
   // row keys of every pre-existing workload are unchanged and old baselines
   // keep matching (check_regression defaults absent skew to 8 on both sides).
   auto report = [&](const std::string& name, const graph::Graph& g,
-                    int threads, int pipe, int reps, const Result& r,
+                    int threads, int reps, const Result& r,
                     int skew = -1, double imbalance = -1.0) {
     const double ns_per_round =
         static_cast<double>(r.median_ns) / std::max<std::uint64_t>(1, r.rounds);
@@ -162,7 +158,7 @@ void run() {
     table.add_row({name,
                    fm(static_cast<std::uint64_t>(g.n())),
                    fm(static_cast<std::uint64_t>(g.m())),
-                   fm(static_cast<std::uint64_t>(threads)), kPipeNames[pipe],
+                   fm(static_cast<std::uint64_t>(threads)),
                    skew < 0 ? "-" : fm(static_cast<std::uint64_t>(skew)),
                    fm(static_cast<std::uint64_t>(reps)), fm(r.rounds),
                    fm(r.messages), fd(ns_per_round), fd(ns_per_msg),
@@ -171,7 +167,6 @@ void run() {
                 {"n", g.n()},
                 {"m", g.m()},
                 {"threads", threads},
-                {"pipeline", pipe},
                 {"host_threads", host_threads},
                 {"reps", reps},
                 {"rounds", r.rounds},
@@ -194,20 +189,15 @@ void run() {
     // samples to shrug one off — the regression gate keys on these rows.
     const int reps = n <= 1024 ? 256 : n <= 8192 ? 32 : 16;
 
-    // The anchor workload, swept over thread counts and both round-close
-    // modes: the sharded engine must reproduce identical rounds/messages
-    // (measure() aborts on drift) while the wall clock shows what the shards
-    // — and the §8 merge/callback overlap — buy on this machine. With one
-    // thread there is a single shard and the close modes coincide, so only
-    // pipeline=off is emitted.
+    // The anchor workload, swept over thread counts: the sharded engine
+    // must reproduce identical rounds/messages (measure() aborts on drift)
+    // while the wall clock shows what the shards — and the §8
+    // merge/callback overlap — buy on this machine.
     for (const int threads : thread_sweep(n)) {
-      for (int pipe = 0; pipe <= (threads > 1 ? 1 : 0); ++pipe) {
-        sim::Engine eng(g, policy_of(threads, pipe));
-        std::vector<char> seen(static_cast<std::size_t>(g.n()), 0);
-        const auto r =
-            measure(eng, 3, reps, [&] { flood_workload(eng, seen); });
-        report("flood_steady", g, threads, pipe, reps, r);
-      }
+      sim::Engine eng(g, sim::ExecutionPolicy{.num_threads = threads});
+      std::vector<char> seen(static_cast<std::size_t>(g.n()), 0);
+      const auto r = measure(eng, 3, reps, [&] { flood_workload(eng, seen); });
+      report("flood_steady", g, threads, reps, r);
     }
     {
       sim::Engine probe(g);  // accounting reference for the per-rep engines
@@ -218,7 +208,7 @@ void run() {
         probe.charge_rounds(eng.rounds());
         probe.charge_messages(eng.messages());
       });
-      report("flood_cold", g, 1, 0, reps, r);
+      report("flood_cold", g, 1, reps, r);
     }
   }
 
@@ -236,13 +226,26 @@ void run() {
     for (const int skew : skews) {
       for (const int threads : thread_sweep(n)) {
         const double imb = shard_imbalance(g, threads, skew);
-        for (int pipe = 0; pipe <= (threads > 1 ? 1 : 0); ++pipe) {
-          sim::Engine eng(g, policy_of(threads, pipe));
-          const auto r = measure(
-              eng, 2, reps, [&] { skewed_flood_workload(eng, 12, skew); });
-          report("skewed_flood", g, threads, pipe, reps, r, skew, imb);
-        }
+        sim::Engine eng(g, sim::ExecutionPolicy{.num_threads = threads});
+        const auto r = measure(
+            eng, 2, reps, [&] { skewed_flood_workload(eng, 12, skew); });
+        report("skewed_flood", g, threads, reps, r, skew, imb);
       }
+    }
+  }
+
+  // One message per round, many rounds: the per-round fixed cost of each
+  // thread count, which the flood rows amortize over thousands of messages.
+  {
+    const int n = 1024;
+    const auto g = graph::gen::cycle(n);
+    constexpr int kRounds = 4096;
+    const int reps = 16;
+    for (const int threads : thread_sweep(n)) {
+      sim::Engine eng(g, sim::ExecutionPolicy{.num_threads = threads});
+      const auto r =
+          measure(eng, 2, reps, [&] { token_ring_workload(eng, kRounds); });
+      report("token_ring", g, threads, reps, r);
     }
   }
 
@@ -258,7 +261,7 @@ void run() {
       probe.charge_messages(eng.messages());
       if (t.height() < 0) std::abort();  // keep the tree from being optimized out
     });
-    report("bfs_tree", g, 1, 0, reps, r);
+    report("bfs_tree", g, 1, reps, r);
   }
 
   for (const int n : {1024, 8192}) {
@@ -276,7 +279,7 @@ void run() {
       probe.charge_messages(eng.messages());
       if (sums[0] != static_cast<std::uint64_t>(g.n())) std::abort();
     });
-    report("convergecast", g, 1, 0, reps, r);
+    report("convergecast", g, 1, reps, r);
   }
 
   table.print("Engine microbench — simulation cost per round and per message");

@@ -18,13 +18,17 @@ tracking, but they never fail CI: their wall clocks sit on top of whole
 algorithm stacks whose variance hasn't been characterized (ROADMAP), so a
 hard gate would cry wolf.
 
-The `pipeline` key selects the round-close mode of DESIGN.md §7/§8 — 0 =
-barriered, 1 = pipelined — so each close mode is tracked independently;
-rows written before the column existed default to 0 (the barriered close
-was the only mode then). The
-`skew` key is the skewed_flood hot-band denominator (senders = top n/skew
-ids); rows without it — all non-skewed workloads, plus skewed rows written
-before the sweep existed — default to the historical 8.
+A baseline only gates captures from its own host class: when the
+`host_threads` of a gated benchmark's baseline rows differ from the fresh
+capture's, the gate refuses (exit 1, naming both values and the --update
+recipe) instead of comparing — a 1-core baseline cannot see a 2–4x
+multi-thread regression on a 4-core runner, and a 4-core baseline makes a
+1-core runner cry wolf. Report-only benchmarks print the mismatch and carry
+on. Rows without `host_threads` have no class and are not checked.
+
+The `skew` key is the skewed_flood hot-band denominator (senders = top
+n/skew ids); rows without it — all non-skewed workloads, plus skewed rows
+written before the sweep existed — default to the historical 8.
 Rows present on only one side are reported but never fail,
 so adding or retiring bench configurations (e.g. the autotuned thread sweep
 producing different thread counts on different runner classes) doesn't
@@ -49,47 +53,49 @@ BASELINE_DIR = os.path.join(os.path.dirname(os.path.abspath(__file__)),
                             "baseline")
 METRIC = "ns_per_message"
 # Key fields absent from a row default here, so rows written before a key
-# column existed keep matching: `pipeline` predates the close-mode sweep
-# (0 = barriered was the only mode), `skew` predates the skewed_flood
-# hot-band sweep (8 = the historical top-n/8 band; non-skewed workloads
-# never carry the field, so they default identically on both sides).
-KEY_DEFAULTS = {"pipeline": 0, "skew": 8}
+# column existed keep matching: `skew` predates the skewed_flood hot-band
+# sweep (8 = the historical top-n/8 band; non-skewed workloads never carry
+# the field, so they default identically on both sides).
+KEY_DEFAULTS = {"skew": 8}
 
 # Key fields per benchmark name (the "benchmark" field of the artifact).
 # `gated`: regressions FAIL; otherwise the comparison is report-only.
 SCHEMAS = {
     "engine_microbench": {
         "file": "BENCH_engine.json",
-        "keys": ("workload", "n", "threads", "pipeline", "skew"),
+        "keys": ("workload", "n", "threads", "skew"),
         "gated": True,
     },
     "mst_corollary_1_3": {
         "file": "BENCH_mst.json",
-        "keys": ("graph", "strategy", "threads", "pipeline"),
+        "keys": ("graph", "strategy", "threads"),
         "gated": False,
     },
     "mincut_corollary_1_4": {
         "file": "BENCH_mincut.json",
-        "keys": ("graph", "eps", "threads", "pipeline"),
+        "keys": ("graph", "eps", "threads"),
         "gated": False,
     },
     "noleader_ablation_ab3": {
         "file": "BENCH_noleader.json",
-        "keys": ("graph", "threads", "pipeline"),
+        "keys": ("graph", "threads"),
         "gated": False,
     },
     "cds_kdom_corollaries_a2_a3": {
         "file": "BENCH_cds_kdom.json",
-        "keys": ("section", "graph", "primitive", "n", "k", "threads",
-                 "pipeline"),
+        "keys": ("section", "graph", "primitive", "n", "k", "threads"),
         "gated": False,
     },
     "fault_degradation": {
         "file": "BENCH_fault.json",
-        "keys": ("workload", "graph", "drop_prob", "threads", "pipeline"),
+        "keys": ("workload", "graph", "drop_prob", "threads"),
         "gated": False,
     },
 }
+
+
+def fmt_hosts(hosts):
+    return ",".join(str(h) for h in hosts)
 
 
 def row_key(row, keys):
@@ -120,6 +126,12 @@ def pool_medians(row_lists, keys):
         median = statistics.median(values) if values else None
         pooled[key] = (rows[0], median, len(values))
     return pooled
+
+
+def host_class(rows):
+    """The sorted host_threads values the rows were captured on (rows
+    without the field carry no class)."""
+    return sorted({r["host_threads"] for r in rows if "host_threads" in r})
 
 
 def fmt_key(key):
@@ -166,6 +178,20 @@ def compare(name, pooled, baseline_path, threshold):
     if base_name != name:
         raise SystemExit(f"{baseline_path}: benchmark {base_name!r} does not "
                          f"match current {name!r}")
+    cur_hosts = host_class(rep for rep, _, _ in pooled.values())
+    base_hosts = host_class(base_rows)
+    if cur_hosts and base_hosts and cur_hosts != base_hosts:
+        mismatch = (f"baseline host_threads={fmt_hosts(base_hosts)}, this "
+                    f"capture host_threads={fmt_hosts(cur_hosts)}")
+        if gated:
+            raise SystemExit(
+                f"error: {name}: {mismatch} — a baseline from another host "
+                f"class cannot gate this capture. Re-capture the baseline on "
+                f"this host class: run the bench at least 4 times and pass "
+                f"every artifact to check_regression.py --update "
+                f"(bench/README.md).")
+        print(f"  [host]     {mismatch}: ratios below compare different "
+              f"host classes")
     base = pool_medians([base_rows], schema["keys"])
 
     regressions = []

@@ -1,12 +1,14 @@
 #!/usr/bin/env python3
-"""Unit tests for check_regression.py's metric-less-row handling.
+"""Unit tests for check_regression.py.
 
 A BENCH_*.json row can legitimately lack ns_per_message (e.g. a phase that
 moved zero messages, or an emitter bug): the pooling keeps such keys visible,
 compare() must skip-and-warn on a None median on EITHER side instead of
 crashing on the ratio or silently counting the key as compared, and --update
 must never write a baseline row without the metric (it could never gate
-anything and would print [no data] forever).
+anything and would print [no data] forever). A gated benchmark refuses a
+baseline from another host class (host_threads); the skew key default,
+gone-row reporting and --update are covered too.
 
 Run directly (python3 bench/test_check_regression.py) or via ctest
 (check_regression_py).
@@ -26,10 +28,8 @@ import check_regression as cr  # noqa: E402
 KEYS = cr.SCHEMAS["engine_microbench"]["keys"]
 
 
-def row(workload="flood_steady", n=1024, threads=1, pipeline=0, metric=10.0,
-        skew=None):
-    r = {"workload": workload, "n": n, "threads": threads,
-         "pipeline": pipeline}
+def row(workload="flood_steady", n=1024, threads=1, metric=10.0, skew=None):
+    r = {"workload": workload, "n": n, "threads": threads}
     if skew is not None:
         r["skew"] = skew
     if metric is not None:
@@ -206,6 +206,59 @@ class GoneRowTest(unittest.TestCase):
             [row(threads=1, metric=10.0), row(threads=64, metric=10.0)])
         self.assertIn("[gone]", out)
         self.assertNotIn("[skipped]", out)
+
+
+class HostClassTest(unittest.TestCase):
+    """A gated baseline only gates captures from its own host class."""
+
+    @staticmethod
+    def _hosted(host_threads, metric=10.0, threads=1):
+        r = row(threads=threads, metric=metric)
+        r["host_threads"] = host_threads
+        return r
+
+    def _compare(self, name, current_rows, baseline_rows):
+        keys = cr.SCHEMAS[name]["keys"]
+        pooled = cr.pool_medians([current_rows], keys)
+        with tempfile.TemporaryDirectory() as tmp:
+            baseline = os.path.join(tmp, cr.SCHEMAS[name]["file"])
+            with open(baseline, "w") as f:
+                json.dump({"benchmark": name, "rows": baseline_rows}, f)
+            out = io.StringIO()
+            with redirect_stdout(out):
+                regressions, compared = cr.compare(name, pooled, baseline,
+                                                   0.20)
+        return regressions, compared, out.getvalue()
+
+    def test_gated_mismatch_refuses(self):
+        with self.assertRaises(SystemExit) as cm:
+            self._compare("engine_microbench", [self._hosted(4)],
+                          [self._hosted(1)])
+        msg = str(cm.exception.code)
+        self.assertIn("baseline host_threads=1", msg)
+        self.assertIn("this capture host_threads=4", msg)
+        self.assertIn("--update", msg)
+
+    def test_gated_match_compares_as_before(self):
+        regressions, compared, out = self._compare(
+            "engine_microbench",
+            [self._hosted(4, metric=30.0), self._hosted(4, threads=2)],
+            [self._hosted(4, metric=10.0), self._hosted(4, threads=2)])
+        self.assertEqual(compared, 2)
+        self.assertEqual(len(regressions), 1)
+        self.assertNotIn("[host]", out)
+
+    def test_report_only_mismatch_prints_and_carries_on(self):
+        r = {"graph": "g", "strategy": "s", "threads": 1, cr.METRIC: 30.0,
+             "host_threads": 4}
+        b = dict(r, host_threads=1)
+        b[cr.METRIC] = 10.0
+        regressions, compared, out = self._compare("mst_corollary_1_3",
+                                                   [r], [b])
+        self.assertEqual(compared, 1)
+        self.assertEqual(regressions, [])
+        self.assertIn("[host]     baseline host_threads=1, this capture "
+                      "host_threads=4", out)
 
 
 class UpdateTest(unittest.TestCase):

@@ -61,4 +61,23 @@ inline void skewed_flood_workload(sim::Engine& eng, int rounds,
   eng.drain();
 }
 
+// One token-ring phase on cycle(n): node 0 starts a single token that every
+// receiver forwards away from its sender, for exactly `rounds` rounds — one
+// active node and one message per round, so the wall clock is the engine's
+// per-round fixed cost (round open, dispatch, close) and nothing else. The
+// final drain discards the token still in flight so repeated phases do
+// identical work.
+inline void token_ring_workload(sim::Engine& eng, int rounds) {
+  eng.wake(0);
+  eng.run(
+      [&](int v) {
+        const auto in = eng.inbox(v);
+        // Degree 2: the token leaves on the port it did not arrive on; the
+        // first round's wake-up (empty inbox) starts it on port 0.
+        eng.send(v, in.empty() ? 0 : in[0].port ^ 1, sim::Msg{});
+      },
+      static_cast<std::uint64_t>(rounds));
+  eng.drain();
+}
+
 }  // namespace pw::bench

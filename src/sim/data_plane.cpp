@@ -627,11 +627,7 @@ std::uint64_t DataPlane::run_pipelined_round(Executor& ex,
                                     merge_dep_count_.data()};
   // The executor seals a shard's whole out-list when its sweep returns;
   // stage-2 claims go largest-first by merge_size.
-  Executor::PipelineOpts opts;
-  opts.size_of = +[](void* c, int d) {
-    return static_cast<Ctx*>(c)->dp->merge_size(d);
-  };
-  ex.pipeline(
+  ex.two_stage(
       num_shards_,
       +[](void* c, int s) {
         auto* x = static_cast<Ctx*>(c);
@@ -641,7 +637,10 @@ std::uint64_t DataPlane::run_pipelined_round(Executor& ex,
         auto* x = static_cast<Ctx*>(c);
         x->dp->merge_shard(d, x->stamp);
       },
-      deps, &ctx, opts);
+      deps, &ctx,
+      +[](void* c, int d) {
+        return static_cast<Ctx*>(c)->dp->merge_size(d);
+      });
   return close_round();
 }
 

@@ -24,8 +24,9 @@
 // (the start of its bucket-capacity region — see merge_shard), then the
 // stable scatter. Static bases make merge tasks fully independent of each
 // other AND of callbacks of unrelated shards, which is what allows the
-// pipelined round close (§8): run_pipelined_round() fuses the callback and
-// merge phases into one two-stage Executor dispatch, where destination shard
+// pipelined round close (§8), Engine::run's only multi-shard close:
+// run_pipelined_round() fuses the callback and merge phases into one
+// two-stage Executor dispatch, where destination shard
 // d starts merging as soon as every sender shard with arcs into d (plus d
 // itself — the merge rewrites state d's own callbacks touch) has finished
 // its callback sweep, while unrelated shards still run callbacks. Sealing is
@@ -102,9 +103,9 @@ class DataPlane {
   // Aliases the delivery arena; invalidated by the next round close or
   // drain(). During a shard-parallel callback, reading the inbox of a node
   // outside the calling task's shard is forbidden (§7) and checked like
-  // stage()/wake() — under the barriered close it was merely nondeterminism,
-  // but under the pipelined close (§8) that shard's run table and delivery
-  // region may already be merging for the next round, a silent data race.
+  // stage()/wake(): under the pipelined close (§8) that shard's run table
+  // and delivery region may already be merging for the next round, a silent
+  // data race.
   std::span<const Incoming> inbox(int v) const {
     if (parallel_callbacks_)
       PW_CHECK_MSG(Executor::this_task() == shard_of(v),
@@ -154,8 +155,8 @@ class DataPlane {
   // The deterministic barriered merge (§7): buckets the staged messages into
   // per-recipient delivery runs and materializes the next round's active set,
   // shard-parallel via `ex`. Returns the number of messages staged this
-  // round. Used by manual round loops and by Engine::run with the pipelined
-  // close disabled; run_pipelined_round() is the overlapped equivalent.
+  // round. Used by manual round loops and by the stamp-wrap round of
+  // run_pipelined_round(), which is the overlapped equivalent.
   std::uint64_t end_round(Executor& ex);
 
   // The pipelined round close (§8): one two-stage Executor dispatch that
@@ -167,8 +168,8 @@ class DataPlane {
   // with bit-identical delivery, active order, and totals — merge order
   // within a destination shard is unchanged; only the schedule moves. The
   // executor seals a shard's whole out-list when its sweep returns.
-  // Callbacks run under the same §7 contract as Engine::run's barriered
-  // dispatch; the caller brackets this with set_parallel_callbacks().
+  // Callbacks run under the §7 contract; the caller brackets this with
+  // set_parallel_callbacks().
   // Requires num_shards() > 1. Returns the number of messages staged.
   std::uint64_t run_pipelined_round(Executor& ex, Executor::TaskFn sweep,
                                     void* ctx);

@@ -13,10 +13,8 @@ Engine::Engine(const graph::Graph& g, ExecutionPolicy policy,
       dp_(g, policy.num_threads < 1 ? 1 : policy.num_threads, &faults),
       // Shard rounding can leave fewer shards than requested threads; never
       // spawn workers that could have no shard to own.
-      exec_(dp_.num_shards(), policy.watchdog_ms),
-      policy_(policy),
-      // The pipelined close only exists where there are phases to overlap.
-      pipeline_(policy.pipeline && dp_.num_shards() > 1) {
+      exec_(dp_.num_shards()),
+      policy_(policy) {
   // When the watchdog fires, the data plane's per-bucket fill state is the
   // half of the picture the executor cannot print itself (§9).
   exec_.set_watchdog_dump(
@@ -60,7 +58,7 @@ void Engine::drain() {
                "drain() inside an open round: finish the round (or let run() "
                "return) before draining (DESIGN.md §8)");
   // Belt and suspenders for the same §8 hazard from a second thread: every
-  // dispatch (barriered or pipelined) fully quiesces the executor before the
+  // dispatch (parallel or two_stage) fully quiesces the executor before the
   // round closes, so any in-flight merge task here means the protocol above
   // was bypassed.
   PW_CHECK_MSG(exec_.quiescent(),

@@ -15,13 +15,14 @@
 // round protocol and accounting; `data_plane.{hpp,cpp}` owns the sharded flat
 // message arenas and the deterministic end-of-round merge; `executor.{hpp,cpp}`
 // owns the persistent worker pool. With ExecutionPolicy{k > 1} the per-node
-// callbacks of run() and the end-of-round merge execute shard-parallel, and
-// with the (default-on) pipelined close of §8 the two phases overlap — a
-// destination shard starts merging as soon as its incoming traffic is
-// complete, while unrelated shards still run callbacks. Either way, round
-// counts, message counts, active-node order, and per-inbox delivery order are
-// BIT-IDENTICAL to the sequential engine for any thread count — parallelism
-// lives entirely below the accounting layer. Parallel callbacks must honor
+// callbacks of run() and the end-of-round merge execute shard-parallel and
+// overlap in the pipelined close of §8 — a destination shard starts merging
+// as soon as its incoming traffic is complete, while unrelated shards still
+// run callbacks (a manual round loop's end_round() merges shard-parallel
+// behind a barrier, §7). Either way, round counts, message counts,
+// active-node order, and per-inbox delivery order are BIT-IDENTICAL to the
+// sequential engine for any thread count — parallelism lives entirely below
+// the accounting layer. Parallel callbacks must honor
 // the §7 thread-safety contract: the callback for node v may call
 // send(v, ...) / wake(v) (checked) and may only write per-node state it owns.
 //
@@ -68,7 +69,7 @@ class Engine {
   // Chaos-mode engine (DESIGN.md §9): same round protocol, same accounting,
   // but the network may drop, delay, or duplicate messages and crash nodes
   // per `faults` — every decision a pure function of (seed, round, arc), so
-  // a fixed policy replays bit-identically at any thread count / close mode.
+  // a fixed policy replays bit-identically at any thread count.
   Engine(const graph::Graph& g, ExecutionPolicy policy,
          const FaultPolicy& faults);
 
@@ -83,11 +84,6 @@ class Engine {
   // inner engines — e.g. min-cut's per-trial MST engines — pass this through
   // so parallelism follows the caller's choice across the whole stack.
   ExecutionPolicy policy() const { return policy_; }
-
-  // True when run() closes rounds with the pipelined overlap of DESIGN.md §8
-  // (multi-shard engine with ExecutionPolicy::pipeline set). Purely a
-  // scheduling property: accounting and delivery are identical either way.
-  bool pipelined() const { return pipeline_ && dp_.num_shards() > 1; }
 
   // Schedules v to be processed next round even if it receives no message.
   // On a faulty() engine the wake is suppressed (and counted) while v is
@@ -156,10 +152,10 @@ class Engine {
   // Runs rounds until the network is idle or `max_rounds` elapsed, invoking
   // fn(v) for every active node each round. With ExecutionPolicy{k > 1} the
   // callbacks of one round execute shard-parallel (contract: DESIGN.md §7),
-  // and with pipelined() additionally overlapped with the end-of-round merge
-  // (§8): fn may observe other shards' NEXT-round state being built while it
-  // runs, which is why the §7 contract already confines fn(v) to shard-local
-  // reads and writes — a conforming callback cannot tell the modes apart.
+  // overlapped with the end-of-round merge (§8): fn may observe other
+  // shards' NEXT-round state being built while it runs, which is why the §7
+  // contract confines fn(v) to shard-local reads and writes — a conforming
+  // callback sees exactly what it would see under the sequential engine.
   //
   // Returns the number of round-loop iterations EXECUTED — by design NOT the
   // same thing as the rounds() delta. rounds() additionally grows by any
@@ -186,7 +182,7 @@ class Engine {
       std::remove_reference_t<F>* f;
     } ctx{this, &fn};
     // One whole-shard sweep with fn inlined in the loop, shared by the
-    // barriered dispatch, the pipelined close, and its stamp-wrap fallback.
+    // pipelined close and its barriered stamp-wrap fallback.
     const auto callbacks = +[](void* c, int s) {
       auto* x = static_cast<Ctx*>(c);
       for (const int v : x->e->dp_.shard_active(s)) {
@@ -197,19 +193,13 @@ class Engine {
     };
     while (!idle() && executed < max_rounds) {
       begin_round();
+      // Pipelined close (§8): callbacks and the merge fuse into one
+      // two-stage dispatch; only the accounting tail is sequential.
       dp_.set_parallel_callbacks(true);
-      if (pipeline_) {
-        // Pipelined close (§8): callbacks and the merge fuse into one
-        // two-stage dispatch; only the accounting tail is sequential.
-        const std::uint64_t staged =
-            dp_.run_pipelined_round(exec_, callbacks, &ctx);
-        dp_.set_parallel_callbacks(false);
-        finish_round(staged);
-      } else {
-        exec_.parallel(dp_.num_shards(), callbacks, &ctx);
-        dp_.set_parallel_callbacks(false);
-        end_round();
-      }
+      const std::uint64_t staged =
+          dp_.run_pipelined_round(exec_, callbacks, &ctx);
+      dp_.set_parallel_callbacks(false);
+      finish_round(staged);
       ++executed;
     }
     return executed;
@@ -239,9 +229,9 @@ class Engine {
   }
 
  private:
-  // The accounting tail every round close funds, whichever close mode staged
-  // the messages (§7 end_round(), §8 pipelined) — keep it in one place so the
-  // two modes cannot drift.
+  // The accounting tail every round close funds, whichever close staged the
+  // messages (§7 end_round(), §8 pipelined) — keep it in one place so the
+  // two cannot drift.
   void finish_round(std::uint64_t staged) {
     in_round_ = false;
     messages_ += staged;
@@ -253,7 +243,6 @@ class Engine {
   Executor exec_;
 
   ExecutionPolicy policy_;  // as requested at construction
-  bool pipeline_ = false;   // §8 pipelined close armed (multi-shard only)
   bool in_round_ = false;
   std::uint64_t rounds_ = 0;
   std::uint64_t messages_ = 0;

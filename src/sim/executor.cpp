@@ -81,6 +81,21 @@ void futex_wake_one(std::atomic<int>* a) { a->notify_one(); }
 constexpr bool kTimedParks = false;
 #endif
 
+// Strict PW_WATCHDOG_MS parse: a plain non-negative decimal that fits an
+// int, or abort naming the variable — atoi would turn "abc" or "-5" into a
+// silently disarmed watchdog.
+int parse_watchdog_env(const char* e) {
+  long long ms = 0;
+  const char* c = e;
+  for (; *c >= '0' && *c <= '9' && ms <= INT_MAX; ++c)
+    ms = ms * 10 + (*c - '0');
+  PW_CHECK_MSG(c != e && *c == '\0' && ms <= INT_MAX,
+               "PW_WATCHDOG_MS='%s' is not a non-negative integer of "
+               "milliseconds (0 disables the watchdog, DESIGN.md §9)",
+               e);
+  return static_cast<int>(ms);
+}
+
 const char* phase_name(int phase) {
   switch (phase) {
     case 1: return "stage1-sweep";
@@ -100,15 +115,16 @@ void Executor::tick() {
         1, std::memory_order_relaxed);
 }
 
-Executor::Executor(int num_threads, int watchdog_ms)
+Executor::Executor(int num_threads)
     : deps_left_(static_cast<std::size_t>(num_threads < 1 ? 1 : num_threads)),
       ready_state_(static_cast<std::size_t>(num_threads < 1 ? 1 : num_threads)),
       threads_state_(
           static_cast<std::size_t>(num_threads < 1 ? 1 : num_threads)),
       num_threads_(num_threads < 1 ? 1 : num_threads) {
   // NOLINTNEXTLINE(concurrency-mt-unsafe): ctor runs before any worker exists
-  if (const char* e = std::getenv("PW_WATCHDOG_MS")) watchdog_ms = std::atoi(e);
-  watchdog_ns_ = static_cast<std::int64_t>(watchdog_ms > 0 ? watchdog_ms : 0) *
+  const char* e = std::getenv("PW_WATCHDOG_MS");
+  watchdog_ns_ = static_cast<std::int64_t>(e != nullptr ? parse_watchdog_env(e)
+                                                         : kWatchdogMs) *
                  1'000'000LL;
   workers_.reserve(static_cast<std::size_t>(num_threads_ - 1));
   for (int i = 1; i < num_threads_; ++i)
@@ -145,7 +161,7 @@ void Executor::worker_loop(int idx) {
       return;
     }
     if (stage2_ != nullptr) {
-      pipeline_thread(idx);
+      two_stage_thread(idx);
     } else if (idx < num_tasks_) {
       st.phase.store(kPhaseStage1, std::memory_order_relaxed);
       st.task.store(idx, std::memory_order_relaxed);
@@ -229,7 +245,7 @@ void Executor::watchdog_fire(int phase, int task) {
   std::fprintf(stderr,
                "PW_WATCHDOG: dispatch: %s, num_tasks=%d claimed=%d "
                "published_seq=%d outstanding=%d\n",
-               live ? "pipeline" : "barriered/none", num_tasks_,
+               live ? "two_stage" : "barriered/none", num_tasks_,
                claimed_.load(std::memory_order_relaxed),
                published_seq_.load(std::memory_order_relaxed),
                outstanding_.load(std::memory_order_relaxed));
@@ -338,10 +354,10 @@ void Executor::seal(int d) {
     publish(d);
 }
 
-// The per-thread body of a pipeline() dispatch: stage-1 task idx (if the
+// The per-thread body of a two_stage() dispatch: stage-1 task idx (if the
 // thread owns one), then the seal of its whole out-list, then the claim loop
 // over the published stage-2 tasks.
-void Executor::pipeline_thread(int idx) {
+void Executor::two_stage_thread(int idx) {
   ThreadState& st = threads_state_[static_cast<std::size_t>(idx)];
   if (idx < num_tasks_) {
     st.phase.store(kPhaseStage1, std::memory_order_relaxed);
@@ -421,9 +437,8 @@ void Executor::pipeline_thread(int idx) {
   st.phase.store(kPhaseIdle, std::memory_order_relaxed);
 }
 
-void Executor::pipeline(int num_tasks, TaskFn stage1, TaskFn stage2,
-                        const PipelineDeps& deps, void* ctx,
-                        const PipelineOpts& opts) {
+void Executor::two_stage(int num_tasks, TaskFn stage1, TaskFn stage2,
+                         const PipelineDeps& deps, void* ctx, SizeFn size_of) {
   PW_CHECK(num_tasks >= 1 && num_tasks <= num_threads_);
   PW_CHECK(tl_task == -1);  // no nested dispatch
   tl_thread = 0;
@@ -451,13 +466,13 @@ void Executor::pipeline(int num_tasks, TaskFn stage1, TaskFn stage2,
   deps_ = deps;
   ctx_ = ctx;
   num_tasks_ = num_tasks;
-  size_fn_ = opts.size_of;
+  size_fn_ = size_of;
   outstanding_.store(static_cast<int>(workers_.size()), std::memory_order_relaxed);
   // PAIR(dispatch-generation): the pipeline fields + counter resets above,
   // published to the workers
   generation_.fetch_add(1, std::memory_order_release);
   generation_.notify_all();
-  pipeline_thread(0);
+  two_stage_thread(0);
   wait_barrier();
   stage2_ = nullptr;
   size_fn_ = nullptr;

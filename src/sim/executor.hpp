@@ -2,9 +2,10 @@
 //
 // The engine runs two kinds of shard-parallel work per round: the user's
 // per-node callbacks (Engine::run) and the deterministic end-of-round merge.
-// Both dispatch through this executor, either as two barriered phases
-// (parallel(), DESIGN.md §7) or fused into one dependency-driven two-stage
-// dispatch that overlaps them (pipeline(), DESIGN.md §8). Workers are spawned
+// Engine::run fuses them into one dependency-driven two-stage dispatch that
+// overlaps them (two_stage(), DESIGN.md §8); a manual round loop's
+// end_round() and the stamp-wrap round run the merge as a barriered phase
+// (parallel(), DESIGN.md §7). Workers are spawned
 // once at engine construction and parked on a futex between dispatches — no
 // per-round thread creation, no steady-state heap allocation, and a plain
 // function pointer + context void* instead of std::function (whose assignment
@@ -13,7 +14,7 @@
 // Task t of a stage-1 dispatch always executes on thread t (the calling
 // thread runs task 0), so a task owns the same shard every round —
 // shard-local state needs no synchronization beyond the dispatch barrier
-// itself. Stage-2 tasks of a pipeline() dispatch are instead claimed
+// itself. Stage-2 tasks of a two_stage() dispatch are instead claimed
 // dynamically: a free thread scans the publish states for the HEAVIEST
 // published task (weight from a caller-supplied size hook) and CASes it to
 // claimed, so a skewed round's heavyweight merge is never stuck behind
@@ -34,41 +35,21 @@ namespace pw::sim {
 
 // How Engine executes rounds. num_threads == 1 (the default) is the fully
 // sequential engine: no worker threads are spawned and every dispatch runs
-// inline. num_threads > 1 shards the data plane and runs callbacks and the
-// end-of-round merge shard-parallel; accounting and delivery stay
-// bit-identical to the sequential engine (DESIGN.md §7).
-//
-// `pipeline` (default on, meaningful only with num_threads > 1) selects the
-// shard-sealed pipelined round close of DESIGN.md §8 for Engine::run: a
+// inline. num_threads > 1 shards the data plane; Engine::run then closes
+// every round with the shard-sealed pipelined close of DESIGN.md §8 (a
 // worker that finishes its callback shard immediately starts merging any
-// destination shard whose incoming traffic is complete, instead of waiting
-// at a full barrier between the callback and merge phases. Off = the
-// barriered close of §7, which is also the reference the pipelined close is
-// tested against and the fallback it takes for the stamp-wrap round.
-// Accounting stays bit-identical either way.
-// `watchdog_ms` (default 60 s, 0 = off) arms the no-progress watchdog of
-// DESIGN.md §9 on the executor's blocking waits: if a pipelined-close wait
-// (the dispatch barrier or a merge-claim park) sees no executor-wide
-// progress for a full window, the run aborts with a diagnostic dump —
-// dependency counters, publish states, per-thread stage, per-bucket fill
-// states — instead of hanging CI forever. The known failure class it
-// converts into a diagnosis is a missed seal (§8); the PW_WATCHDOG_MS
-// environment variable overrides the policy value for whole-process tuning.
-//
-// Construct with designated initializers ({.num_threads = 4,
-// .pipeline = false}) so a field list that changes is a compile error, not a
-// silent reinterpretation of positional values.
+// destination shard whose incoming traffic is complete). Accounting and
+// delivery stay bit-identical to the sequential engine (DESIGN.md §7).
+// Construct with designated initializers ({.num_threads = 4}).
 struct ExecutionPolicy {
   int num_threads = 1;
-  bool pipeline = true;
-  int watchdog_ms = 60000;
 };
 
 class Executor {
  public:
   using TaskFn = void (*)(void* ctx, int task);
 
-  // Static dependency graph of a pipeline() dispatch, owned by the caller
+  // Static dependency graph of a two_stage() dispatch, owned by the caller
   // (the data plane builds it once at construction). Stage-1 task s feeds the
   // stage-2 tasks out[out_beg[s] .. out_beg[s+1]); dep_count[d] is the number
   // of distinct stage-1 tasks feeding stage-2 task d and must match the edge
@@ -80,19 +61,19 @@ class Executor {
     const int* dep_count = nullptr;  // size num_tasks, each >= 1
   };
 
-  // Per-dispatch knobs for pipeline(). size_of, when non-null, is invoked on
-  // the publishing thread as size_of(ctx, d) to weight stage-2 task d for the
-  // largest-first claim order; every feeder of d has sealed by then, so it
-  // may read all of d's staged inputs. Null = all tasks weigh 0 and claims
-  // fall back to lowest-index-first.
-  struct PipelineOpts {
-    int (*size_of)(void* ctx, int d) = nullptr;
-  };
+  // Weight of stage-2 task d for two_stage()'s largest-first claim order,
+  // invoked on the publishing thread as size_of(ctx, d); every feeder of d
+  // has sealed by then, so it may read all of d's staged inputs.
+  using SizeFn = int (*)(void* ctx, int d);
 
-  // Spawns num_threads - 1 workers (thread 0 is the caller). watchdog_ms
-  // arms the no-progress watchdog (§9) on the executor's blocking waits;
-  // 0 disables it, the PW_WATCHDOG_MS environment variable overrides either.
-  explicit Executor(int num_threads, int watchdog_ms = 0);
+  // Spawns num_threads - 1 workers (thread 0 is the caller) and arms the
+  // no-progress watchdog (§9) on the executor's blocking waits: if a wait
+  // (the dispatch barrier or a merge-claim park) sees no executor-wide
+  // progress for a full window, the run aborts with a diagnostic dump
+  // instead of hanging. The window is kWatchdogMs (60 s) unless the
+  // PW_WATCHDOG_MS environment variable overrides it for the whole process:
+  // a non-negative decimal of milliseconds, 0 = off; anything else aborts.
+  explicit Executor(int num_threads);
   ~Executor();
   Executor(const Executor&) = delete;
   Executor& operator=(const Executor&) = delete;
@@ -109,7 +90,8 @@ class Executor {
   // on thread t exactly like parallel(); the moment a thread finishes its
   // stage-1 task it SEALS it — decrementing the dependency counters of the
   // stage-2 tasks it feeds (deps.out) — and the thread that drops a counter
-  // to zero PUBLISHES that stage-2 task (with its size_of weight). Free
+  // to zero PUBLISHES that stage-2 task (with its size_of weight; a null
+  // size_of weighs every task 0, so claims go lowest-index-first). Free
   // threads claim published stage-2 tasks largest-first (any thread, each
   // task exactly once) until all num_tasks of them have run, so stage-2 work
   // for one task overlaps stage-1 work of tasks it does not depend on.
@@ -118,14 +100,8 @@ class Executor {
   // with every dependency counter at zero (checked: a missed seal would
   // deadlock a merge, a double seal could run one twice). Not reentrant, and
   // this_task() inside a stage-2 task reports the stage-2 task id.
-  void pipeline(int num_tasks, TaskFn stage1, TaskFn stage2,
-                const PipelineDeps& deps, void* ctx,
-                const PipelineOpts& opts);
-  // Default-opts convenience overload (defined below the class: a nested
-  // aggregate's member initializers cannot back a default argument inside
-  // the enclosing class).
-  void pipeline(int num_tasks, TaskFn stage1, TaskFn stage2,
-                const PipelineDeps& deps, void* ctx);
+  void two_stage(int num_tasks, TaskFn stage1, TaskFn stage2,
+                 const PipelineDeps& deps, void* ctx, SizeFn size_of);
 
   // True when no dispatch is in flight (all workers have finished their
   // tasks and reported). Between dispatches this is the executor's resting
@@ -136,7 +112,7 @@ class Executor {
   }
 
   // Task index of the calling thread inside a dispatch, -1 outside. During
-  // stage 1 of pipeline() (and all of parallel()) this is the shard the
+  // stage 1 of two_stage() (and all of parallel()) this is the shard the
   // thread owns; the data plane uses it to pin shard ownership violations.
   static int this_task();
 
@@ -190,7 +166,7 @@ class Executor {
   };
 
   void worker_loop(int idx);
-  void pipeline_thread(int idx);
+  void two_stage_thread(int idx);
   void wait_barrier();
   // Seals stage-1 task tl_task's edge into stage-2 task d (see executor.cpp).
   void seal(int d);
@@ -207,11 +183,11 @@ class Executor {
 
   TaskFn fn_ = nullptr;
   void* ctx_ = nullptr;
-  TaskFn stage2_ = nullptr;  // non-null marks a pipeline() dispatch
+  TaskFn stage2_ = nullptr;  // non-null marks a two_stage() dispatch
   PipelineDeps deps_{};
   int num_tasks_ = 0;
   bool stop_ = false;
-  int (*size_fn_)(void*, int) = nullptr;  // largest-first claim weights
+  SizeFn size_fn_ = nullptr;  // largest-first claim weights
   // Dispatch protocol: fn_/ctx_/stage2_/deps_/num_tasks_/stop_ and the
   // pipeline counters below are written by the caller, then published by the
   // generation bump (release); workers acquire-load the generation, run their
@@ -243,6 +219,8 @@ class Executor {
   std::atomic<int> claimed_{0};
   std::atomic<int> claim_waiters_{0};
 
+  static constexpr int kWatchdogMs = 60000;
+
   // Watchdog state (§9). progress_ is bumped (relaxed) by every seal, stage
   // completion, and dispatch exit; together with the per-thread tick counters
   // it forms the progress signature a blocked wait compares across timeout
@@ -265,10 +243,5 @@ class Executor {
   std::vector<std::thread> workers_;
   int num_threads_ = 1;
 };
-
-inline void Executor::pipeline(int num_tasks, TaskFn stage1, TaskFn stage2,
-                               const PipelineDeps& deps, void* ctx) {
-  pipeline(num_tasks, stage1, stage2, deps, ctx, PipelineOpts());
-}
 
 }  // namespace pw::sim

@@ -2,11 +2,11 @@
 //
 // The §7 contract promises that ExecutionPolicy is invisible above the
 // accounting layer: results, delivery, and round/message totals are pure
-// functions of (graph, algorithm, seed), never of the thread count or the
-// round-close mode. The engine suites pin that for raw round loops;
-// this suite pins it END TO END for the algorithm stack — every Corollary
-// 1.3–1.7 / Appendix-A workload runs at {1} ∪ {2,4} × {barriered, pipelined}
-// and must reproduce the 1-thread run bit for bit: the full result vectors
+// functions of (graph, algorithm, seed), never of the thread count. The
+// engine suites pin that for raw round loops; this suite pins it END TO END
+// for the algorithm stack — every Corollary 1.3–1.7 / Appendix-A workload
+// runs at 1, 2 and 4 threads and must reproduce the 1-thread run bit for
+// bit: the full result vectors
 // (weights, distances, labels, verdicts, dominator sets), not just hashes,
 // plus the exact rounds() / messages() deltas.
 //
@@ -31,11 +31,7 @@ namespace pw::bench {
 namespace {
 
 constexpr sim::ExecutionPolicy kPolicies[] = {
-    {.num_threads = 1, .pipeline = false},
-    {.num_threads = 2, .pipeline = false},
-    {.num_threads = 2, .pipeline = true},
-    {.num_threads = 4, .pipeline = false},
-    {.num_threads = 4, .pipeline = true}};
+    {.num_threads = 1}, {.num_threads = 2}, {.num_threads = 4}};
 
 // Canonical capture of one run: the app result flattened to words, plus the
 // engine accounting. Policy must not move any of it.
@@ -54,8 +50,7 @@ void expect_policy_invariant(const char* what, F&& run) {
     if (policy.num_threads == 1) continue;
     const Capture got = run(policy);
     const auto label =
-        std::string(what) + " @" + std::to_string(policy.num_threads) +
-        (policy.pipeline ? "+pipe" : "");
+        std::string(what) + " @" + std::to_string(policy.num_threads);
     EXPECT_EQ(got.result, ref.result) << label;
     EXPECT_EQ(got.rounds, ref.rounds) << label;
     EXPECT_EQ(got.messages, ref.messages) << label;

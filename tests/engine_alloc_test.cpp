@@ -58,27 +58,21 @@ TEST(EngineAlloc, DenseSteadyStateRoundLoopAllocatesNothing) {
 // The sharded plane preserves the contract: per-shard wake lists, staging
 // buckets, and the worker pool are all sized at construction, and a futex
 // dispatch allocates nothing. (Thread spawn happens in the ctor, before the
-// counted window.) Both round-close modes are covered: the pipelined
-// two-stage dispatch (DESIGN.md §8) reuses dependency counters and per-task
-// publish states sized at construction, so it must be allocation-free too.
+// counted window.) run()'s pipelined two-stage dispatch (DESIGN.md §8)
+// reuses dependency counters and per-task publish states sized at
+// construction, so it must be allocation-free too.
 TEST(EngineAlloc, ShardedSteadyStateRoundLoopAllocatesNothing) {
   Rng rng(1);
   const auto g = graph::gen::random_connected(2048, 6144, rng);
-  constexpr ExecutionPolicy kModes[] = {{.num_threads = 4, .pipeline = false},
-                                        {.num_threads = 4, .pipeline = true}};
-  for (const auto policy : kModes) {
-    Engine eng(g, policy);
-    std::vector<char> seen(static_cast<std::size_t>(g.n()), 0);
-    flood_phase(eng, seen);
-    flood_phase(eng, seen);
+  Engine eng(g, ExecutionPolicy{.num_threads = 4});
+  std::vector<char> seen(static_cast<std::size_t>(g.n()), 0);
+  flood_phase(eng, seen);
+  flood_phase(eng, seen);
 
-    const std::uint64_t before = g_news.load(std::memory_order_relaxed);
-    for (int i = 0; i < 5; ++i) flood_phase(eng, seen);
-    const std::uint64_t after = g_news.load(std::memory_order_relaxed);
-    EXPECT_EQ(after - before, 0u)
-        << "heap allocation in the sharded round loop (pipeline="
-        << policy.pipeline << ")";
-  }
+  const std::uint64_t before = g_news.load(std::memory_order_relaxed);
+  for (int i = 0; i < 5; ++i) flood_phase(eng, seen);
+  const std::uint64_t after = g_news.load(std::memory_order_relaxed);
+  EXPECT_EQ(after - before, 0u) << "heap allocation in the sharded round loop";
 }
 
 TEST(EngineAlloc, SparseRadixSteadyStateAllocatesNothing) {

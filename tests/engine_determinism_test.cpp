@@ -59,24 +59,11 @@ std::vector<Instance> instances() {
   return out;
 }
 
-// Every case runs under the sequential engine AND the sharded parallel one,
-// with the end-of-round merge barriered (DESIGN.md §7) and pipelined into
-// the callback phase (§8): parallelism lives below the accounting layer, so
-// every policy must reproduce the goldens bit-for-bit.
-constexpr sim::ExecutionPolicy kPolicies[] = {
-    {.num_threads = 1, .pipeline = false},
-    {.num_threads = 2, .pipeline = false},
-    {.num_threads = 2, .pipeline = true},
-    {.num_threads = 4, .pipeline = false},
-    {.num_threads = 4, .pipeline = true}};
-
-const char* mode_suffix(const sim::ExecutionPolicy& p) {
-  return p.pipeline ? "+pipe" : "";
-}
-
-// The manual-round-loop traces below always close rounds through the
-// barriered end_round() (the pipelined overlap only applies to run(), §8),
-// so they sweep thread counts alone.
+// Every case runs under the sequential engine AND the sharded parallel one
+// (DESIGN.md §7): run() closes its rounds with the pipelined close of §8,
+// the manual-round-loop traces below with the barriered end_round().
+// Parallelism lives below the accounting layer, so every thread count must
+// reproduce the goldens bit-for-bit.
 constexpr int kThreadCounts[] = {1, 2, 4};
 
 sim::PhaseStats run_bfs(const Instance& inst, sim::ExecutionPolicy policy) {
@@ -113,8 +100,8 @@ TEST(EngineDeterminism, GoldenCountsPerFamilyAtEveryThreadCount) {
   for (std::size_t i = 0; i < insts.size(); ++i) {
     const auto& inst = insts[i];
     ASSERT_EQ(std::string(kGolden[i].family), inst.name);
-    for (const auto policy : kPolicies) {
-      const int threads = policy.num_threads;
+    for (const int threads : kThreadCounts) {
+      const sim::ExecutionPolicy policy{.num_threads = threads};
       const auto bfs = run_bfs(inst, policy);
       const auto mst = run_mst(inst, policy);
       const auto nl = run_noleader(inst, policy);
@@ -124,17 +111,17 @@ TEST(EngineDeterminism, GoldenCountsPerFamilyAtEveryThreadCount) {
                     inst.name.c_str(), bfs.rounds, bfs.messages, mst.rounds,
                     mst.messages, nl.rounds, nl.messages);
       EXPECT_EQ(bfs.rounds, kGolden[i].bfs_rounds)
-          << inst.name << " @" << threads << mode_suffix(policy);
+          << inst.name << " @" << threads;
       EXPECT_EQ(bfs.messages, kGolden[i].bfs_messages)
-          << inst.name << " @" << threads << mode_suffix(policy);
+          << inst.name << " @" << threads;
       EXPECT_EQ(mst.rounds, kGolden[i].mst_rounds)
-          << inst.name << " @" << threads << mode_suffix(policy);
+          << inst.name << " @" << threads;
       EXPECT_EQ(mst.messages, kGolden[i].mst_messages)
-          << inst.name << " @" << threads << mode_suffix(policy);
+          << inst.name << " @" << threads;
       EXPECT_EQ(nl.rounds, kGolden[i].nl_rounds)
-          << inst.name << " @" << threads << mode_suffix(policy);
+          << inst.name << " @" << threads;
       EXPECT_EQ(nl.messages, kGolden[i].nl_messages)
-          << inst.name << " @" << threads << mode_suffix(policy);
+          << inst.name << " @" << threads;
     }
   }
 }

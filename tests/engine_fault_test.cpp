@@ -5,19 +5,21 @@
 // dropped, delayed, and duplicated by a counter-based hash of
 // (seed, round, receiver-side arc), nodes crash and reboot on a fixed
 // schedule. Because every verdict is a pure function of that triple, a fixed
-// seed must produce BIT-IDENTICAL delivery traces across every execution
-// policy — {1} ∪ {2,4} × {barriered, pipelined} — including under the
-// forced round-id / wake-epoch wraps. These tests pin that, the exact
-// drop/delay/dup/crash semantics on tiny graphs where the schedule can be
-// computed by hand, the ARQ workload's completion guarantee under chaos, and
-// the §9 watchdog: a forcibly withheld bucket seal must abort the wedged
-// close with a dependency-counter dump instead of hanging forever.
+// seed must produce BIT-IDENTICAL delivery traces at every thread count —
+// {1, 2, 4} — including under the forced round-id / wake-epoch wraps.
+// These tests pin that, the exact drop/delay/dup/crash semantics on tiny
+// graphs where the schedule can be computed by hand, the ARQ workload's
+// completion guarantee under chaos, and the §9 watchdog: a forcibly
+// withheld bucket seal must abort the wedged close with a
+// dependency-counter dump instead of hanging forever, and a malformed
+// PW_WATCHDOG_MS must abort instead of disarming it.
 #include <gtest/gtest.h>
 
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <limits>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -30,21 +32,12 @@ namespace {
 
 using graph::Graph;
 
-// {2,4} threads × {barriered, pipelined}; index 0 is the sequential
-// reference. The default 60 s watchdog stays armed, so every parallel test
-// here doubles as "an armed watchdog never fires on a live engine".
+// The sharded engine at 2 and 4 threads (run() takes the pipelined close of
+// DESIGN.md §8); index 0 is the sequential reference. The default 60 s
+// watchdog stays armed, so every parallel test here doubles as "an armed
+// watchdog never fires on a live engine".
 constexpr ExecutionPolicy kAllPolicies[] = {
-    {.num_threads = 1, .pipeline = false},
-    {.num_threads = 2, .pipeline = false},
-    {.num_threads = 2, .pipeline = true},
-    {.num_threads = 4, .pipeline = false},
-    {.num_threads = 4, .pipeline = true}};
-
-std::string label(const ExecutionPolicy& p) {
-  return p.num_threads == 1 ? "sequential"
-         : p.pipeline       ? "pipelined"
-                            : "barriered";
-}
+    {.num_threads = 1}, {.num_threads = 2}, {.num_threads = 4}};
 
 // Full per-node observation trace of a faulty run: every (activation, from,
 // port, payload) tuple each callback sees, in order, plus the engine totals
@@ -75,7 +68,7 @@ void expect_fault_trace_equal_across_policies(const Graph& g,
   for (const auto& policy : kAllPolicies) {
     if (policy.num_threads == 1) continue;
     EXPECT_EQ(reference, fault_trace_of(g, policy, faults, drive))
-        << label(policy) << " @" << policy.num_threads;
+        << "@" << policy.num_threads;
   }
 }
 
@@ -217,13 +210,8 @@ TEST(FaultTrace, SevenFaultConfigsIdenticalUnderPipelinedClose) {
   configs[6].delay_rounds = 2;
   configs[6].crashes = {{9, 1, 4}, {41, 3, 6}};
   for (std::size_t i = 0; i < configs.size(); ++i) {
-    const auto reference =
-        fault_trace_of(g, kAllPolicies[0], configs[i], chatter_drive);
-    for (const int threads : {2, 4}) {
-      const ExecutionPolicy pipe{.num_threads = threads, .pipeline = true};
-      EXPECT_EQ(reference, fault_trace_of(g, pipe, configs[i], chatter_drive))
-          << "config " << i << " @" << threads;
-    }
+    SCOPED_TRACE("config " + std::to_string(i));
+    expect_fault_trace_equal_across_policies(g, configs[i], chatter_drive);
   }
 }
 
@@ -247,7 +235,7 @@ TEST(FaultTrace, SameSeedReproducesDifferentSeedDiverges) {
 TEST(FaultSemantics, DelayArrivesExactlyLate) {
   const Graph g = graph::gen::path(2);
   const auto rounds_with = [&](const FaultPolicy& faults) {
-    Engine eng(g, ExecutionPolicy{.num_threads = 1, .pipeline = false}, faults);
+    Engine eng(g, ExecutionPolicy{.num_threads = 1}, faults);
     std::uint64_t seen_at = 0;
     eng.wake(0);
     const std::uint64_t executed = eng.run([&](int v) {
@@ -266,8 +254,7 @@ TEST(FaultSemantics, DelayArrivesExactlyLate) {
   FaultPolicy delayed;
   delayed.delay_prob = 1.0;
   delayed.delay_rounds = 3;
-  Engine probe(g, ExecutionPolicy{.num_threads = 1, .pipeline = false},
-               delayed);
+  Engine probe(g, ExecutionPolicy{.num_threads = 1}, delayed);
   EXPECT_TRUE(probe.faulty());
   EXPECT_EQ(rounds_with(delayed), plain + 3);
 }
@@ -278,7 +265,7 @@ TEST(FaultSemantics, DupDeliversTwice) {
   const Graph g = graph::gen::path(2);
   FaultPolicy faults;
   faults.dup_prob = 1.0;
-  Engine eng(g, ExecutionPolicy{.num_threads = 1, .pipeline = false}, faults);
+  Engine eng(g, ExecutionPolicy{.num_threads = 1}, faults);
   std::size_t seen = 0;
   eng.wake(0);
   eng.run([&](int v) {
@@ -299,7 +286,7 @@ TEST(FaultSemantics, DropEverythingTerminates) {
   const Graph g = graph::gen::star(9);
   FaultPolicy faults;
   faults.drop_prob = 1.0;
-  Engine eng(g, ExecutionPolicy{.num_threads = 1, .pipeline = false}, faults);
+  Engine eng(g, ExecutionPolicy{.num_threads = 1}, faults);
   std::vector<char> ran(static_cast<std::size_t>(g.n()), 0);
   eng.wake(0);
   eng.run([&](int v) {
@@ -318,7 +305,7 @@ TEST(FaultSemantics, CrashShedsAndReboots) {
   const Graph g = graph::gen::path(2);
   FaultPolicy faults;
   faults.crashes = {{1, 0, 4}};  // node 1 down for rounds 0..3, up at 4
-  Engine eng(g, ExecutionPolicy{.num_threads = 1, .pipeline = false}, faults);
+  Engine eng(g, ExecutionPolicy{.num_threads = 1}, faults);
   std::vector<std::uint64_t> node1_rounds;
   int node0_left = 5;
   eng.wake(1);  // targets round 0, node down -> suppressed
@@ -350,7 +337,7 @@ TEST(FaultSemantics, CrashShedsAndReboots) {
 
 TEST(FaultSemantics, FaultFreeEngineReportsNothing) {
   const Graph g = graph::gen::path(4);
-  Engine eng(g, ExecutionPolicy{.num_threads = 1, .pipeline = false});
+  Engine eng(g, ExecutionPolicy{.num_threads = 1});
   EXPECT_FALSE(eng.faulty());
   const FaultStats fs = eng.fault_stats();
   EXPECT_EQ(fs.messages_dropped, 0u);
@@ -365,7 +352,7 @@ TEST(FaultSemantics, DrainClearsDelayedTraffic) {
   FaultPolicy faults;
   faults.delay_prob = 1.0;
   faults.delay_rounds = 5;
-  Engine eng(g, ExecutionPolicy{.num_threads = 1, .pipeline = false}, faults);
+  Engine eng(g, ExecutionPolicy{.num_threads = 1}, faults);
   eng.wake(0);
   eng.run([&](int v) { eng.send(v, 0, Msg{1, 0, 0, 0}); }, 1);
   EXPECT_FALSE(eng.idle());  // the message is parked in a delay queue
@@ -386,18 +373,18 @@ void expect_arq_converges(const Graph& g, const FaultPolicy& faults,
   for (const auto policy : kAllPolicies) {
     Engine eng(g, policy, faults);
     const apps::ArqResult r = apps::arq_flood(eng, 0, 0xabcdef);
-    EXPECT_TRUE(r.completed) << label(policy);
+    EXPECT_TRUE(r.completed) << "@" << policy.num_threads;
     apps::validate_arq(g, r, 0xabcdef);
-    EXPECT_GE(r.retransmissions, min_retransmissions) << label(policy);
+    EXPECT_GE(r.retransmissions, min_retransmissions) << "@" << policy.num_threads;
     if (!have_ref) {
       ref = r;
       have_ref = true;
       continue;
     }
-    EXPECT_EQ(ref.token, r.token) << label(policy);
-    EXPECT_EQ(ref.executed_rounds, r.executed_rounds) << label(policy);
-    EXPECT_EQ(ref.data_sends, r.data_sends) << label(policy);
-    EXPECT_EQ(ref.retransmissions, r.retransmissions) << label(policy);
+    EXPECT_EQ(ref.token, r.token) << "@" << policy.num_threads;
+    EXPECT_EQ(ref.executed_rounds, r.executed_rounds) << "@" << policy.num_threads;
+    EXPECT_EQ(ref.data_sends, r.data_sends) << "@" << policy.num_threads;
+    EXPECT_EQ(ref.retransmissions, r.retransmissions) << "@" << policy.num_threads;
   }
 }
 
@@ -408,9 +395,9 @@ TEST(Arq, FaultFreeNeverRetransmits) {
   for (const auto policy : kAllPolicies) {
     Engine eng(g, policy);
     const apps::ArqResult r = apps::arq_flood(eng, 0, 42);
-    EXPECT_TRUE(r.completed) << label(policy);
+    EXPECT_TRUE(r.completed) << "@" << policy.num_threads;
     apps::validate_arq(g, r, 42);
-    EXPECT_EQ(r.retransmissions, 0u) << label(policy);
+    EXPECT_EQ(r.retransmissions, 0u) << "@" << policy.num_threads;
   }
 }
 
@@ -451,7 +438,7 @@ TEST(Arq, TotalLossTerminatesOnBudget) {
   const Graph g = graph::gen::cycle(8);
   FaultPolicy faults;
   faults.drop_prob = 1.0;
-  Engine eng(g, ExecutionPolicy{.num_threads = 1, .pipeline = false}, faults);
+  Engine eng(g, ExecutionPolicy{.num_threads = 1}, faults);
   apps::ArqConfig cfg;
   cfg.max_rounds = 64;
   const apps::ArqResult r = apps::arq_flood(eng, 0, 9, cfg);
@@ -480,19 +467,40 @@ TEST(Arq, ChaosSeedSweep) {
 
 // --- the §9 watchdog --------------------------------------------------------
 
+// Sets PW_WATCHDOG_MS (the only watchdog override; the executor reads it at
+// construction) for one scope and restores the previous value on exit.
+class ScopedWatchdogEnv {
+ public:
+  explicit ScopedWatchdogEnv(const char* value) {
+    if (const char* old = std::getenv(kVar)) saved_ = old;
+    ::setenv(kVar, value, 1);
+  }
+  ~ScopedWatchdogEnv() {
+    if (saved_)
+      ::setenv(kVar, saved_->c_str(), 1);
+    else
+      ::unsetenv(kVar);
+  }
+  ScopedWatchdogEnv(const ScopedWatchdogEnv&) = delete;
+  ScopedWatchdogEnv& operator=(const ScopedWatchdogEnv&) = delete;
+
+ private:
+  static constexpr const char* kVar = "PW_WATCHDOG_MS";
+  std::optional<std::string> saved_;
+};
+
 // A tightly armed watchdog must never fire while the engine is making
 // progress, even on a long multi-round parallel run.
 TEST(Watchdog, ArmedRunCompletes) {
   const Graph g = graph::gen::grid(8, 8);
-  for (const auto base : kAllPolicies) {
-    if (base.num_threads == 1) continue;
-    ExecutionPolicy policy = base;
-    policy.watchdog_ms = 200;
+  for (const auto policy : kAllPolicies) {
+    if (policy.num_threads == 1) continue;
+    const ScopedWatchdogEnv armed("200");
     Engine eng(g, policy);
     std::vector<std::vector<std::uint64_t>> trace(
         static_cast<std::size_t>(g.n()));
     chatter_drive(eng, trace);
-    EXPECT_GT(eng.rounds(), 0u) << label(policy);
+    EXPECT_GT(eng.rounds(), 0u) << "@" << policy.num_threads;
   }
 }
 
@@ -507,8 +515,10 @@ TEST(Watchdog, ArmedRunCompletes) {
 // Forcibly withhold one bucket seal: the pipelined close wedges, and the
 // watchdog must abort with the dependency-counter dump ("deps_left" is
 // printed only by the §9 diagnostics) instead of hanging.
+// Runs in the death-test child, so the 1 s override never reaches the parent.
 [[maybe_unused]] void run_with_withheld_seal(const Graph& g) {
-  Engine eng(g, ExecutionPolicy{.num_threads = 4, .watchdog_ms = 1000});
+  ::setenv("PW_WATCHDOG_MS", "1000", 1);
+  Engine eng(g, ExecutionPolicy{.num_threads = 4});
   eng.debug_withhold_seal(1, 0);
   std::vector<std::vector<std::uint64_t>> trace(
       static_cast<std::size_t>(g.n()));
@@ -524,6 +534,24 @@ TEST(Watchdog, WithheldSealAbortsWithDiagnostics) {
   const Graph g = graph::gen::grid(8, 8);
   EXPECT_DEATH(run_with_withheld_seal(g), "deps_left");
 #endif
+}
+
+// PW_WATCHDOG_MS is parsed strictly: anything but a plain non-negative
+// decimal that fits an int aborts at engine construction, naming the
+// variable, instead of silently disarming the watchdog. The parse runs
+// before any worker thread is spawned.
+TEST(Watchdog, MalformedEnvAborts) {
+  GTEST_FLAG_SET(death_test_style, "threadsafe");
+  const Graph g = graph::gen::grid(4, 4);
+  for (const char* bad : {"abc", "-5", "", "12ms", " 7", "+5", "99999999999"}) {
+    EXPECT_DEATH(
+        {
+          ::setenv("PW_WATCHDOG_MS", bad, 1);
+          Engine eng(g, ExecutionPolicy{.num_threads = 2});
+        },
+        "PW_WATCHDOG_MS=.* is not a non-negative integer")
+        << "value '" << bad << "'";
+  }
 }
 
 }  // namespace

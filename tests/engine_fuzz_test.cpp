@@ -1,20 +1,21 @@
-// Differential trace fuzzing of the engine's execution-mode matrix (§7–§9).
+// Differential trace fuzzing of the engine's thread-count matrix (§7–§9).
 //
 // The determinism suites pin hand-picked workloads; this harness pins the
 // space between them. Each iteration derives — from one seed — a random
 // graph (family × size) and a random callback program (which ports each
 // activation sends on, payloads, self-wakes, and a mid-run drain segment),
-// then replays the identical program on the sequential engine and on every
-// parallel configuration: {2,4} threads × {barriered, pipelined}, under
-// each policy of a fault-policy sample. Every replay must produce a bit-identical full
-// observation trace (per-node inbox tuples in order, totals, fault
-// counters).
+// then replays the identical program on the sequential engine and on the
+// sharded engine at 2 and 4 threads (run() takes the pipelined close of §8),
+// under each policy of a fault-policy sample. Every replay must produce a
+// bit-identical full observation trace (per-node inbox tuples in order,
+// totals, fault counters).
 //
 // Every failure message carries the iteration seed. Reproduce a CI failure
 // locally with:
 //   PW_FUZZ_SEED=<seed> PW_FUZZ_ITERS=1 ./engine_fuzz_test
 // PW_FUZZ_SEED shifts the whole seed sequence; PW_FUZZ_ITERS (default 4)
-// scales how many instances one run explores.
+// scales how many instances one run explores; PW_FUZZ_SOAK_REPS (default 2)
+// adds that many extra replays of every multi-thread row.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -143,18 +144,6 @@ std::vector<std::vector<std::uint64_t>> fuzz_trace(
   return trace;
 }
 
-// The configuration matrix one instance is replayed across.
-constexpr ExecutionPolicy kFuzzPolicies[] = {
-    {.num_threads = 2, .pipeline = false},
-    {.num_threads = 2, .pipeline = true},
-    {.num_threads = 4, .pipeline = false},
-    {.num_threads = 4, .pipeline = true}};
-
-std::string label(const ExecutionPolicy& p) {
-  return std::string(p.pipeline ? "pipelined" : "barriered") + "@" +
-         std::to_string(p.num_threads);
-}
-
 // The fault-policy sample: fault-free, drop-only, mixed, and crash+mixed —
 // one representative of each §9 verdict family.
 std::vector<FaultPolicy> fault_sample(std::uint64_t seed, int n) {
@@ -190,24 +179,20 @@ TEST(EngineFuzz, TraceIdenticalAcrossFullConfigMatrix) {
     const Graph g = make_graph(seed);
     const auto faults = fault_sample(seed, g.n());
     for (std::size_t f = 0; f < faults.size(); ++f) {
-      const auto reference = fuzz_trace(
-          g, seed, ExecutionPolicy{.num_threads = 1, .pipeline = false},
-          faults[f]);
+      const auto reference =
+          fuzz_trace(g, seed, ExecutionPolicy{.num_threads = 1}, faults[f]);
       total_messages += reference[reference.size() - 2][1];
-      for (const ExecutionPolicy& policy : kFuzzPolicies) {
-        EXPECT_EQ(reference, fuzz_trace(g, seed, policy, faults[f]))
-            << label(policy) << " fault-config " << f << " n=" << g.n();
-        // Extra soak on the pipelined rows — the pipelined close stacks
-        // every scheduling protocol (seals, dependency counters,
-        // largest-first claims), so each gets PW_FUZZ_SOAK_REPS more
-        // replays than the barriered rows.
-        if (policy.pipeline) {
-          const std::uint64_t reps = env_u64("PW_FUZZ_SOAK_REPS", 2);
-          for (std::uint64_t r = 0; r < reps; ++r)
-            EXPECT_EQ(reference, fuzz_trace(g, seed, policy, faults[f]))
-                << label(policy) << " soak rep " << r << " fault-config " << f
-                << " n=" << g.n();
-        }
+      for (const int threads : {2, 4}) {
+        // Rep 0 plus PW_FUZZ_SOAK_REPS soak replays: the pipelined close
+        // stacks every scheduling protocol (seals, dependency counters,
+        // largest-first claims), so one replay per row is not enough.
+        const std::uint64_t reps = 1 + env_u64("PW_FUZZ_SOAK_REPS", 2);
+        for (std::uint64_t r = 0; r < reps; ++r)
+          EXPECT_EQ(reference,
+                    fuzz_trace(g, seed, ExecutionPolicy{.num_threads = threads},
+                               faults[f]))
+              << "@" << threads << " rep " << r << " fault-config " << f
+              << " n=" << g.n();
       }
     }
   }

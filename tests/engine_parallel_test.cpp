@@ -18,13 +18,10 @@ namespace {
 
 using graph::Graph;
 
-// Manual-round-loop tests close rounds through the barriered merge whatever
-// the flag says; run()-based tests below sweep both close modes explicitly
-// (the pipelined close has its own suite, engine_pipeline_test.cpp).
-constexpr ExecutionPolicy kSharded{.num_threads = 4, .pipeline = false};
-constexpr ExecutionPolicy kClosePolicies[] = {
-    {.num_threads = 4, .pipeline = false},
-    {.num_threads = 4, .pipeline = true}};
+// Four shards. Manual-round-loop tests close rounds through the barriered
+// merge of end_round() (§7); run()-based tests take the pipelined close
+// (§8, which has its own suite, engine_pipeline_test.cpp).
+constexpr ExecutionPolicy kSharded{.num_threads = 4};
 
 // Mirror of EngineStress.DrainDiscardsInFlightTrafficWithoutCorruptingLaterRounds
 // with the data plane split into 4 shards: drain() must discard delivered-but-
@@ -109,54 +106,17 @@ TEST(EngineParallel, MaxFanInAcrossShards) {
 // contract allows there), with the rewaking nodes spread over all shards.
 TEST(EngineParallel, SelfRewakeInParallelCallbacks) {
   Graph g = graph::gen::path(64);
-  for (const auto policy : kClosePolicies) {
-    Engine eng(g, policy);
-    const int probes[] = {0, 17, 33, 63};  // one per shard
-    std::array<std::atomic<int>, 64> activations{};
-    for (int v : probes) eng.wake(v);
-    eng.run([&](int v) {
-      const int k = activations[static_cast<std::size_t>(v)].fetch_add(1) + 1;
-      if (k < 5) eng.wake(v);  // self-rewake
-    });
-    for (int v : probes)
-      EXPECT_EQ(activations[static_cast<std::size_t>(v)].load(), 5) << v;
-    EXPECT_EQ(eng.rounds(), 5u);
-  }
-}
-
-// Repeated flood phases on one sharded engine must behave identically —
-// shard wake lists, bucket cursors, and runs all reset cleanly.
-TEST(EngineParallel, PhasesReuseCleanlyUnderShards) {
-  Rng rng(5);
-  Graph g = graph::gen::random_connected(200, 500, rng);
-  for (const auto policy : kClosePolicies) {
-    Engine eng(g, policy);
-    std::uint64_t first_phase_msgs = 0;
-    for (int phase = 0; phase < 5; ++phase) {
-      const auto snap = eng.snap();
-      std::vector<char> seen(static_cast<std::size_t>(g.n()), 0);
-      seen[static_cast<std::size_t>(phase)] = 1;
-      eng.wake(phase);
-      eng.run([&](int v) {
-        bool fresh = v == phase && eng.inbox(v).empty();
-        if (!seen[static_cast<std::size_t>(v)]) {
-          seen[static_cast<std::size_t>(v)] = 1;
-          fresh = true;
-        }
-        if (!fresh) return;
-        for (int p = 0; p < g.degree(v); ++p) eng.send(v, p, Msg{});
-      });
-      for (int v = 0; v < g.n(); ++v)
-        EXPECT_TRUE(seen[static_cast<std::size_t>(v)]);
-      const auto stats = eng.since(snap);
-      if (phase == 0) {
-        first_phase_msgs = stats.messages;
-      } else {
-        EXPECT_EQ(stats.messages, first_phase_msgs) << "phase " << phase;
-      }
-      EXPECT_TRUE(eng.idle());
-    }
-  }
+  Engine eng(g, kSharded);
+  const int probes[] = {0, 17, 33, 63};  // one per shard
+  std::array<std::atomic<int>, 64> activations{};
+  for (int v : probes) eng.wake(v);
+  eng.run([&](int v) {
+    const int k = activations[static_cast<std::size_t>(v)].fetch_add(1) + 1;
+    if (k < 5) eng.wake(v);  // self-rewake
+  });
+  for (int v : probes)
+    EXPECT_EQ(activations[static_cast<std::size_t>(v)].load(), 5) << v;
+  EXPECT_EQ(eng.rounds(), 5u);
 }
 
 // idle() must answer identically mid-round at any shard count: the single-

@@ -1,11 +1,10 @@
-// Pipelined round close (DESIGN.md §8): with ExecutionPolicy::pipeline the
-// callback and merge phases of a round overlap — a destination shard merges
-// as soon as its incoming traffic is complete, while unrelated shards still
-// run callbacks. Everything observable must be BIT-IDENTICAL to both the
-// barriered sharded engine (§7) and the sequential engine: these tests pin
-// that under adversarial fan-in, self-rewake, mid-flight drains, and the
-// checked §7 contract violations, which must still abort while merge-stage
-// tasks are in flight.
+// Pipelined round close (DESIGN.md §8): on a multi-shard engine, run()
+// overlaps the callback and merge phases of a round — a destination shard
+// merges as soon as its incoming traffic is complete, while unrelated shards
+// still run callbacks. Everything observable must be BIT-IDENTICAL to the
+// sequential engine: these tests pin that under adversarial fan-in,
+// self-rewake, mid-flight drains, and the checked §7 contract violations,
+// which must still abort while merge-stage tasks are in flight.
 #include <gtest/gtest.h>
 
 #include <array>
@@ -21,22 +20,10 @@ namespace {
 
 using graph::Graph;
 
-// The two round closes (§7, §8): the shard-sealed pipelined close (a
-// sender's buckets all seal when its sweep returns, merges overlap the
-// remaining sweeps) and the barriered reference. Identical observables,
-// different schedules.
-constexpr ExecutionPolicy kPipelined{.num_threads = 4, .pipeline = true};
-constexpr ExecutionPolicy kBarriered{.num_threads = 4, .pipeline = false};
-
-TEST(EnginePipeline, PolicySelectsThePipelinedClose) {
-  Graph g = graph::gen::path(64);
-  EXPECT_TRUE(Engine(g, kPipelined).pipelined());
-  EXPECT_FALSE(Engine(g, kBarriered).pipelined());
-  // The pipelined close is the multi-thread default.
-  EXPECT_TRUE(Engine(g, ExecutionPolicy{.num_threads = 4}).pipelined());
-  // One shard has no phases to overlap: the flag degrades to sequential.
-  EXPECT_FALSE(Engine(g, ExecutionPolicy{.num_threads = 1}).pipelined());
-}
+// Four shards: run() closes every round with the shard-sealed pipelined
+// close (a sender's buckets all seal when its sweep returns, merges overlap
+// the remaining sweeps).
+constexpr ExecutionPolicy kPipelined{.num_threads = 4};
 
 // Full per-node delivery traces — every (activation, from, port, payload)
 // tuple a callback observes, in order — must be identical to the sequential
@@ -74,12 +61,8 @@ TEST(EnginePipeline, PerNodeDeliveryTraceMatchesSequential) {
   };
 
   const auto reference = trace_with(ExecutionPolicy{.num_threads = 1});
+  EXPECT_EQ(reference, trace_with(ExecutionPolicy{.num_threads = 2}));
   EXPECT_EQ(reference, trace_with(kPipelined));
-  EXPECT_EQ(reference, trace_with(kBarriered));
-  EXPECT_EQ(reference,
-            trace_with(ExecutionPolicy{.num_threads = 2, .pipeline = true}));
-  EXPECT_EQ(reference,
-            trace_with(ExecutionPolicy{.num_threads = 2, .pipeline = false}));
 }
 
 // The hub of a star sits in shard 0 and its merge depends on every other
@@ -87,8 +70,8 @@ TEST(EnginePipeline, PerNodeDeliveryTraceMatchesSequential) {
 // column. The hub must still see one intact inbox in ascending sender order.
 TEST(EnginePipeline, AdversarialFanInAcrossShards) {
   const Graph g = graph::gen::star(64);
-  for (const auto policy : {kPipelined, kBarriered}) {
-    Engine eng(g, policy);
+  for (const int threads : {2, 4}) {
+    Engine eng(g, ExecutionPolicy{.num_threads = threads});
     std::vector<std::uint64_t> hub_inbox;  // only node 0's callback writes this
     for (int v = 1; v < g.n(); ++v) eng.wake(v);
     eng.run([&](int v) {
@@ -112,7 +95,7 @@ TEST(EnginePipeline, AdversarialFanInAcrossShards) {
 // rewaking nodes span all shards, so every round has both fresh wakes (from
 // callbacks) and merged deliveries (from the overlapped stage) landing in
 // the same wake epoch.
-TEST(EnginePipeline, SelfRewakeWithTrafficAcrossModes) {
+TEST(EnginePipeline, SelfRewakeWithTrafficAcrossThreadCounts) {
   const Graph g = graph::gen::path(64);
   auto totals = [&](ExecutionPolicy policy) {
     Engine eng(g, policy);
@@ -133,8 +116,8 @@ TEST(EnginePipeline, SelfRewakeWithTrafficAcrossModes) {
     return std::pair{eng.rounds(), eng.messages()};
   };
   const auto reference = totals(ExecutionPolicy{.num_threads = 1});
+  EXPECT_EQ(reference, totals(ExecutionPolicy{.num_threads = 2}));
   EXPECT_EQ(reference, totals(kPipelined));
-  EXPECT_EQ(reference, totals(kBarriered));
 }
 
 // drain() between pipelined phases: a budgeted run() exits with poison
@@ -216,7 +199,7 @@ TEST(EnginePipeline, PhasesRepeatIdentically) {
 // few shards that exist.
 TEST(EnginePipeline, MoreThreadsThanNodes) {
   const Graph g = graph::gen::path(3);
-  Engine eng(g, ExecutionPolicy{.num_threads = 16, .pipeline = true});
+  Engine eng(g, ExecutionPolicy{.num_threads = 16});
   eng.wake(0);
   std::atomic<int> deliveries{0};
   eng.run([&](int v) {
@@ -235,7 +218,7 @@ TEST(EnginePipeline, MoreThreadsThanNodes) {
 
 // The §7 contract checks must keep firing while merge-stage tasks share the
 // dispatch with callbacks: a cross-shard send from a pipelined callback
-// aborts exactly like it does under the barriered dispatch. The whole engine
+// aborts. The whole engine
 // lives inside EXPECT_DEATH so the worker pool spawns in the death-test
 // child, not the forking parent.
 TEST(EnginePipelineDeath, CrossShardSendFromPipelinedCallbackAborts) {
@@ -253,8 +236,8 @@ TEST(EnginePipelineDeath, CrossShardSendFromPipelinedCallbackAborts) {
 
 // Cross-shard inbox READS abort too: under the pipelined close the other
 // shard's delivery region may already be merging for the next round, so the
-// read that was mere nondeterminism under the barriered close would be a
-// silent data race (§7 contract, checked in DataPlane::inbox).
+// read would be a silent data race (§7 contract, checked in
+// DataPlane::inbox).
 TEST(EnginePipelineDeath, CrossShardInboxReadFromPipelinedCallbackAborts) {
   GTEST_FLAG_SET(death_test_style, "threadsafe");
   EXPECT_DEATH(

@@ -3,7 +3,7 @@
 // Under the pipelined close a destination shard's merge starts once every
 // sender shard with arcs into it has sealed — when that sender's callback
 // sweep returns. Everything observable must stay BIT-IDENTICAL to the
-// sequential engine across {1} ∪ {2,4} × {barriered, pipelined}. These tests
+// sequential engine at 1, 2 and 4 threads. These tests
 // pin that under the shapes that stress the seal — a skewed sender shard
 // whose only cross-shard feeder runs first vs last in its sweep, buckets
 // with capacity but zero staged traffic, rounds whose traffic never crosses
@@ -24,19 +24,10 @@ namespace {
 
 using graph::Graph;
 
-// {2,4} threads × {barriered, pipelined}; index 0 is the sequential
+// The pipelined close at 2 and 4 threads; index 0 is the sequential
 // reference.
 constexpr ExecutionPolicy kAllPolicies[] = {
-    {.num_threads = 1, .pipeline = false},
-    {.num_threads = 2, .pipeline = false},
-    {.num_threads = 2, .pipeline = true},
-    {.num_threads = 4, .pipeline = false},
-    {.num_threads = 4, .pipeline = true}};
-
-const char* label(const ExecutionPolicy& p) {
-  if (p.num_threads == 1) return "sequential";
-  return p.pipeline ? "pipelined" : "barriered";
-}
+    {.num_threads = 1}, {.num_threads = 2}, {.num_threads = 4}};
 
 // Full per-node delivery trace of a flood driven by `fn`-agnostic rules:
 // every (activation, from, port, payload) tuple each callback observes, in
@@ -61,7 +52,7 @@ void expect_trace_equal_across_policies(const Graph& g, Drive&& drive) {
   for (const auto policy : kAllPolicies) {
     if (policy.num_threads == 1) continue;
     EXPECT_EQ(reference, trace_of(g, policy, drive))
-        << label(policy) << " @" << policy.num_threads;
+        << "@" << policy.num_threads;
   }
 }
 
@@ -202,15 +193,17 @@ TEST(EngineSeal, SelfEdgeOnlyRound) {
 }
 
 // The once-per-2^32-rounds stamp wrap falls back to a barriered close for
-// exactly one round mid-run; the pipelined close must resume cleanly after
-// it. Forced via the debug_set_wrap_state test hook a few rounds before the
-// wrap.
+// exactly one round mid-run — the only place run() still takes the
+// barriered close; the pipelined close must resume cleanly after it. Forced
+// via the debug_set_wrap_state test hook two rounds before the wrap, so the
+// third executed round is the wrap round and the fourth is pipelined again.
 TEST(EngineSeal, ForcedRoundIdWrapMidRun) {
   Rng rng(21);
   const Graph g = graph::gen::random_connected(256, 768, rng);
   auto drive = [](Engine& eng, std::vector<std::vector<std::uint64_t>>& tr) {
     eng.debug_set_wrap_state(std::numeric_limits<std::uint32_t>::max() - 2, 5);
     flood_drive(eng, tr);
+    EXPECT_GT(eng.rounds(), 3u) << "flood ended before the round after the wrap";
   };
   expect_trace_equal_across_policies(g, drive);
 }
@@ -235,6 +228,7 @@ TEST(EngineSeal, ForcedDoubleWrapMidRun) {
     eng.debug_set_wrap_state(std::numeric_limits<std::uint32_t>::max() - 3,
                              (1ULL << 40) - 2);
     flood_drive(eng, tr);
+    EXPECT_GT(eng.rounds(), 4u) << "flood ended before the round after the wrap";
   };
   expect_trace_equal_across_policies(g, drive);
 }
@@ -311,23 +305,19 @@ TEST(EngineSealDeath, DrainFromInsidePipelinedRoundAborts) {
 
 // A parallel callback may send only AS the node it was invoked on: a send
 // on behalf of a SAME-SHARD sibling (here: node 41's callback sending as
-// its neighbor 40) aborts in every parallel mode (§7).
+// its neighbor 40) aborts (§7).
 TEST(EngineSealDeath, SiblingProxySendFromParallelCallbackAborts) {
   GTEST_FLAG_SET(death_test_style, "threadsafe");
-  for (const auto policy :
-       {ExecutionPolicy{.num_threads = 4, .pipeline = false},
-        ExecutionPolicy{.num_threads = 4}}) {
-    EXPECT_DEATH(
-        {
-          Graph g = graph::gen::path(64);
-          Engine eng(g, policy);
-          eng.wake(41);  // shard 2; neighbor 40 shares the shard
-          eng.run([&](int v) {
-            if (v == 41) eng.send(40, 0, Msg{});
-          });
-        },
-        "only for the invoked node");
-  }
+  EXPECT_DEATH(
+      {
+        Graph g = graph::gen::path(64);
+        Engine eng(g, ExecutionPolicy{.num_threads = 4});
+        eng.wake(41);  // shard 2; neighbor 40 shares the shard
+        eng.run([&](int v) {
+          if (v == 41) eng.send(40, 0, Msg{});
+        });
+      },
+      "only for the invoked node");
 }
 
 }  // namespace

@@ -93,14 +93,12 @@ int size_of(void* ctx, int task) {
 // double-count, a lost task would hang the dispatch).
 TEST(MergeClaims, ExactlyOnceUnderRepeatedSkewedDispatches) {
   const int kThreads = 4;
-  Executor ex(kThreads, /*watchdog_ms=*/60000);
+  Executor ex(kThreads);
   AllToAll graph(kThreads);
   ClaimCtx ctx(kThreads);
-  Executor::PipelineOpts opts;
-  opts.size_of = size_of;
   for (int rep = 0; rep < 300; ++rep) {
     ctx.reset();
-    ex.pipeline(kThreads, stage1, stage2, graph.deps(), &ctx, opts);
+    ex.two_stage(kThreads, stage1, stage2, graph.deps(), &ctx, size_of);
     for (int d = 0; d < kThreads; ++d)
       ASSERT_EQ(ctx.runs[static_cast<std::size_t>(d)].load(), 1)
           << "rep " << rep << " task " << d;
@@ -112,13 +110,12 @@ TEST(MergeClaims, ExactlyOnceUnderRepeatedSkewedDispatches) {
 TEST(MergeClaims, SurplusThreadsOnlyClaim) {
   const int kThreads = 4;
   const int kTasks = 2;
-  Executor ex(kThreads, /*watchdog_ms=*/60000);
+  Executor ex(kThreads);
   AllToAll graph(kTasks);
   ClaimCtx ctx(kTasks);
   for (int rep = 0; rep < 300; ++rep) {
     ctx.reset();
-    ex.pipeline(kTasks, stage1, stage2, graph.deps(), &ctx,
-                Executor::PipelineOpts());
+    ex.two_stage(kTasks, stage1, stage2, graph.deps(), &ctx, nullptr);
     for (int d = 0; d < kTasks; ++d)
       ASSERT_EQ(ctx.runs[static_cast<std::size_t>(d)].load(), 1)
           << "rep " << rep << " task " << d;
@@ -132,15 +129,13 @@ TEST(MergeClaims, SurplusThreadsOnlyClaim) {
 // hang, which the armed watchdog converts into a loud failure.
 TEST(MergeClaims, EmptyScanParksUntilSlowPublisherSeals) {
   const int kThreads = 4;
-  Executor ex(kThreads, /*watchdog_ms=*/60000);
+  Executor ex(kThreads);
   Identity graph(kThreads);
   ClaimCtx ctx(kThreads);
   ctx.slow_task = kThreads - 1;
-  Executor::PipelineOpts opts;
-  opts.size_of = size_of;
   for (int rep = 0; rep < 50; ++rep) {
     ctx.reset();
-    ex.pipeline(kThreads, stage1, stage2, graph.deps(), &ctx, opts);
+    ex.two_stage(kThreads, stage1, stage2, graph.deps(), &ctx, size_of);
     for (int d = 0; d < kThreads; ++d)
       ASSERT_EQ(ctx.runs[static_cast<std::size_t>(d)].load(), 1)
           << "rep " << rep << " task " << d;
@@ -153,14 +148,12 @@ TEST(MergeClaims, DegenerateDispatchesRunInline) {
   Executor ex1(1);
   AllToAll graph(1);
   ClaimCtx ctx(1);
-  ex1.pipeline(1, stage1, stage2, graph.deps(), &ctx,
-               Executor::PipelineOpts());
+  ex1.two_stage(1, stage1, stage2, graph.deps(), &ctx, nullptr);
   EXPECT_EQ(ctx.runs[0].load(), 1);
 
   Executor ex4(4);
   ctx.reset();
-  ex4.pipeline(1, stage1, stage2, graph.deps(), &ctx,
-               Executor::PipelineOpts());
+  ex4.two_stage(1, stage1, stage2, graph.deps(), &ctx, nullptr);
   EXPECT_EQ(ctx.runs[0].load(), 1);
 }
 
