@@ -17,8 +17,8 @@
 //                 `skew` column; PW_BENCH_SKEW=8,32 comma-list override,
 //                 default {8, 32}), and each (n, skew) combo also reports
 //                 the per-shard incoming-message imbalance (max/mean over
-//                 destination shards, `shard_imbalance`) that the size-aware
-//                 largest-first merge claim is scheduling against.
+//                 destination shards, `shard_imbalance`) that the §8 merge
+//                 claims are scheduling against.
 //   token_ring    one token passed around cycle(n) — one active node and one
 //                 message per round, many rounds: the per-round fixed cost
 //                 (round open, dispatch, close) that a round-heavy,
@@ -114,8 +114,8 @@ std::vector<int> skew_sweep() {
 // round: every hot sender (top n/skew ids) sends on all ports, so shard d
 // receives one message per arc from the hot band into d. Replicates the
 // engine's shard layout (contiguous power-of-two chunks, data_plane.cpp) so
-// the number describes exactly the merge tasks the §8 largest-first claim
-// schedules. Returns max/mean over destination shards (1.0 = perfectly
+// the number describes exactly the merge tasks the §8 merge claims
+// schedule. Returns max/mean over destination shards (1.0 = perfectly
 // even); 0 when the layout degenerates to one shard.
 double shard_imbalance(const graph::Graph& g, int threads, int skew) {
   const int n = g.n();
@@ -216,7 +216,7 @@ void run() {
   // fixed round budget): the callback work of every round concentrates in
   // the top shard, so under the pipelined close every merge waits for that
   // one long sweep. Each (n, threads, skew) combo carries the per-shard
-  // incoming-message imbalance the largest-first claim schedules against —
+  // incoming-message imbalance the §8 merge claims schedule against —
   // the skew study: higher skew, higher imbalance.
   const auto skews = skew_sweep();
   for (const int n : {8192, 65536}) {

@@ -14,7 +14,10 @@ DataPlane::DataPlane(const graph::Graph& g, int max_shards,
   const int n = g.n();
   // Contiguous shards with a power-of-two chunk so shard_of is one shift.
   // Rounding the chunk up may leave fewer shards than requested; never more.
-  const int chunk = n <= 0 ? 1 : (n + max_shards - 1) / max_shards;
+  // The request is clamped to n first: any positive thread count is legal,
+  // and n + max_shards - 1 would overflow int for a huge one.
+  const int shards = std::min(max_shards, std::max(n, 1));
+  const int chunk = n <= 0 ? 1 : (n + shards - 1) / shards;
   shard_shift_ = 0;
   while ((1 << shard_shift_) < chunk) ++shard_shift_;
   num_shards_ = n <= 0 ? 1 : ((n - 1) >> shard_shift_) + 1;
@@ -286,6 +289,13 @@ void DataPlane::begin_round() {
   }
   last_manual_sender_ = -1;
   bump_wake_epoch();
+  if (round_id_ == std::numeric_limits<std::uint32_t>::max()) {
+    // Round-id wrap, one pass per 2^32 rounds. This round's runs stay
+    // readable under the new id; nothing stages or merges until the close.
+    for (auto& rec : arc_) rec.stamp = 0;
+    for (auto& run : inbox_run_) run.stamp = run.stamp == round_id_ ? 1 : 0;
+    round_id_ = 1;
+  }
   if (fault_ != nullptr) {
     // Advance the fault clock to the round wakes/merges now target, apply
     // crash/recover transitions, and reboot freshly recovered nodes: the wake
@@ -449,12 +459,6 @@ void DataPlane::merge_shard(int d, std::uint32_t next_stamp) {
   commit_shard(d, next_stamp);
 }
 
-int DataPlane::merge_size(int d) const {
-  int total = 0;
-  for (int s = 0; s < num_shards_; ++s) total += bucket_cur(s, d);
-  return total;
-}
-
 void DataPlane::commit_shard(int d, std::uint32_t next_stamp) {
   const int S = num_shards_;
   Shard& sh = shards_[static_cast<std::size_t>(d)];
@@ -561,17 +565,6 @@ void DataPlane::commit_shard(int d, std::uint32_t next_stamp) {
   sh.dirty = false;
 }
 
-std::uint32_t DataPlane::prepare_next_stamp() {
-  if (round_id_ == std::numeric_limits<std::uint32_t>::max()) {
-    // 32-bit round id is about to wrap: clear every stamp so a stale one can
-    // never equal a live id. One pass per 2^32 rounds.
-    for (auto& rec : arc_) rec.stamp = 0;
-    for (auto& run : inbox_run_) run.stamp = 0;
-    round_id_ = 0;  // close_round()'s ++ makes the next live id 1
-  }
-  return round_id_ + 1;
-}
-
 std::uint64_t DataPlane::close_round() {
   // The cursor total IS the round's message count (every stage() bumps
   // exactly one cursor); padding lanes beyond S stay zero.
@@ -585,48 +578,17 @@ std::uint64_t DataPlane::close_round() {
   return total;
 }
 
-std::uint64_t DataPlane::end_round(Executor& ex) {
-  const std::uint32_t next_stamp = prepare_next_stamp();
-  if (num_shards_ == 1) {
-    merge_shard(0, next_stamp);
-  } else {
-    struct Ctx {
-      DataPlane* dp;
-      std::uint32_t stamp;
-    } ctx{this, next_stamp};
-    ex.parallel(
-        num_shards_,
-        +[](void* c, int t) {
-          auto* x = static_cast<Ctx*>(c);
-          x->dp->merge_shard(t, x->stamp);
-        },
-        &ctx);
-  }
-  return close_round();
-}
-
-std::uint64_t DataPlane::run_pipelined_round(Executor& ex,
-                                             Executor::TaskFn sweep,
-                                             void* cb_ctx) {
-  PW_CHECK(num_shards_ > 1);
-  if (round_id_ == std::numeric_limits<std::uint32_t>::max()) {
-    // Once per 2^32 rounds the stamp wrap must clear the arc and run stamp
-    // arrays, which cannot overlap callbacks still staging into them — take
-    // the barriered close for this one round; the pipelined close resumes
-    // next round.
-    ex.parallel(num_shards_, sweep, cb_ctx);
-    return end_round(ex);
-  }
+std::uint64_t DataPlane::end_round(Executor& ex, Executor::TaskFn sweep,
+                                   void* cb_ctx) {
   struct Ctx {
     DataPlane* dp;
-    std::uint32_t stamp;
+    std::uint32_t stamp;  // begin_round() keeps round_id_ below UINT32_MAX
     Executor::TaskFn sweep;
     void* cb_ctx;
   } ctx{this, round_id_ + 1, sweep, cb_ctx};
   const Executor::PipelineDeps deps{seal_out_beg_.data(), seal_out_.data(),
                                     merge_dep_count_.data()};
-  // The executor seals a shard's whole out-list when its sweep returns;
-  // stage-2 claims go largest-first by merge_size.
+  // The executor seals a shard's whole out-list when its sweep returns.
   ex.two_stage(
       num_shards_,
       +[](void* c, int s) {
@@ -637,10 +599,7 @@ std::uint64_t DataPlane::run_pipelined_round(Executor& ex,
         auto* x = static_cast<Ctx*>(c);
         x->dp->merge_shard(d, x->stamp);
       },
-      deps, &ctx,
-      +[](void* c, int d) {
-        return static_cast<Ctx*>(c)->dp->merge_size(d);
-      });
+      deps, &ctx);
   return close_round();
 }
 
@@ -688,9 +647,9 @@ void DataPlane::debug_set_wrap_state(std::uint32_t round_id,
                "debug_set_wrap_state on a non-quiescent plane");
   PW_CHECK(round_id >= 1);
   PW_CHECK(wake_epoch >= 1 && wake_epoch <= kEpochMask);
-  // Clear both stamp families and the wake words exactly like the real wrap
-  // paths (prepare_next_stamp / bump_wake_epoch) do, so nothing delivered
-  // under the old ids can alias the new range.
+  // Clear both stamp families and the wake words like the real wrap paths
+  // (begin_round / bump_wake_epoch) do, so nothing delivered under the old
+  // ids can alias the new range.
   for (auto& rec : arc_) rec.stamp = 0;
   for (auto& run : inbox_run_) run.stamp = 0;
   std::fill(wake_stamp_.begin(), wake_stamp_.end(), 0);

@@ -24,14 +24,13 @@
 // (the start of its bucket-capacity region — see merge_shard), then the
 // stable scatter. Static bases make merge tasks fully independent of each
 // other AND of callbacks of unrelated shards, which is what allows the
-// pipelined round close (§8), Engine::run's only multi-shard close:
-// run_pipelined_round() fuses the callback and merge phases into one
-// two-stage Executor dispatch, where destination shard
-// d starts merging as soon as every sender shard with arcs into d (plus d
-// itself — the merge rewrites state d's own callbacks touch) has finished
-// its callback sweep, while unrelated shards still run callbacks. Sealing is
-// shard-granular: a sender shard's buckets all seal together when its sweep
-// returns.
+// pipelined round close (§8), the engine's only close: end_round() fuses the
+// callback and merge phases into one two-stage Executor dispatch, where
+// destination shard d starts merging as soon as every sender shard with arcs
+// into d (plus d itself — the merge rewrites state d's own callbacks touch)
+// has finished its callback sweep, while unrelated shards still run
+// callbacks. Sealing is shard-granular: a sender shard's buckets all seal
+// together when its sweep returns.
 #pragma once
 
 #include <cstdint>
@@ -149,30 +148,23 @@ class DataPlane {
 
   // Rebuilds the active set if wake() ran since the last merge, then opens
   // the next wake epoch (wake/stage calls from here on target the round
-  // after this one).
+  // after this one). Once per 2^32 rounds it also wraps the round id, while
+  // nothing is staging or merging: every arc stamp is cleared, the live
+  // inbox runs move to id 1, and every other run stamp is zeroed, so no
+  // stale stamp can equal a live id.
   void begin_round();
 
-  // The deterministic barriered merge (§7): buckets the staged messages into
-  // per-recipient delivery runs and materializes the next round's active set,
-  // shard-parallel via `ex`. Returns the number of messages staged this
-  // round. Used by manual round loops and by the stamp-wrap round of
-  // run_pipelined_round(), which is the overlapped equivalent.
-  std::uint64_t end_round(Executor& ex);
-
-  // The pipelined round close (§8): one two-stage Executor dispatch that
-  // runs the callback sweep of every shard (stage 1) and merges destination
-  // shards (stage 2) as their incoming traffic completes, overlapping merges
-  // with still-running callbacks. Equivalent to
-  //   for (s) sweep(ctx, s);  // shard-parallel
-  //   end_round(ex);
-  // with bit-identical delivery, active order, and totals — merge order
-  // within a destination shard is unchanged; only the schedule moves. The
-  // executor seals a shard's whole out-list when its sweep returns.
-  // Callbacks run under the §7 contract; the caller brackets this with
-  // set_parallel_callbacks().
-  // Requires num_shards() > 1. Returns the number of messages staged.
-  std::uint64_t run_pipelined_round(Executor& ex, Executor::TaskFn sweep,
-                                    void* ctx);
+  // The round close (§7, §8): one two-stage Executor dispatch that runs
+  // sweep(ctx, s) for every shard s (stage 1) and merges destination shards
+  // (stage 2) as their incoming traffic completes, overlapping merges with
+  // still-running sweeps. Engine::run passes its callback sweep (under the
+  // §7 contract, bracketed by set_parallel_callbacks()); a manual round
+  // loop's Engine::end_round() passes a no-op sweep, its sends already
+  // staged. The merge buckets the staged messages into per-recipient
+  // delivery runs and materializes the next round's active set; delivery,
+  // active order and totals are bit-identical at every shard count — only
+  // the schedule moves. Returns the number of messages staged this round.
+  std::uint64_t end_round(Executor& ex, Executor::TaskFn sweep, void* ctx);
 
   // Discards delivered-but-unread runs and scheduled wakeups (stamp
   // invalidation only; no data moves).
@@ -269,18 +261,9 @@ class DataPlane {
   void commit_shard(int d, std::uint32_t next_stamp);
   void count_in(Shard& sh, int to, int k);
   Fate fate_of(int to, const Incoming& inc, int d, bool discovery);
-  // Claim weight of destination d's merge for the executor's largest-first
-  // stage-2 ordering: the exact staged count (every feeder has sealed when
-  // the executor publishes d).
-  int merge_size(int d) const;
   void rebuild_active();
   void compact_active();
   void bump_wake_epoch();
-
-  // Handles the once-per-2^32-rounds round-id wrap (clears both stamp
-  // families so a stale stamp can never equal a live id), then returns the
-  // stamp the closing merge publishes runs under.
-  std::uint32_t prepare_next_stamp();
 
   // The sequential tail of every round close: totals the bucket cursors
   // (= messages staged this round), concatenates the shards' active slices,

@@ -44,7 +44,8 @@ void Engine::send(int v, int port, const Msg& m) {
 
 void Engine::end_round() {
   PW_CHECK(in_round_);
-  finish_round(dp_.end_round(exec_));
+  // The sends are already staged: the close runs an empty sweep (§7).
+  finish_round(dp_.end_round(exec_, +[](void*, int) {}, nullptr));
 }
 
 void Engine::drain() {
@@ -58,9 +59,8 @@ void Engine::drain() {
                "drain() inside an open round: finish the round (or let run() "
                "return) before draining (DESIGN.md §8)");
   // Belt and suspenders for the same §8 hazard from a second thread: every
-  // dispatch (parallel or two_stage) fully quiesces the executor before the
-  // round closes, so any in-flight merge task here means the protocol above
-  // was bypassed.
+  // dispatch fully quiesces the executor before the round closes, so any
+  // in-flight merge task here means the protocol above was bypassed.
   PW_CHECK_MSG(exec_.quiescent(),
                "drain() with executor tasks still in flight (DESIGN.md §8)");
   // Sends only happen inside rounds and end_round() consumes them, so the

@@ -18,12 +18,12 @@
 // callbacks of run() and the end-of-round merge execute shard-parallel and
 // overlap in the pipelined close of §8 — a destination shard starts merging
 // as soon as its incoming traffic is complete, while unrelated shards still
-// run callbacks (a manual round loop's end_round() merges shard-parallel
-// behind a barrier, §7). Either way, round counts, message counts,
-// active-node order, and per-inbox delivery order are BIT-IDENTICAL to the
-// sequential engine for any thread count — parallelism lives entirely below
-// the accounting layer. Parallel callbacks must honor
-// the §7 thread-safety contract: the callback for node v may call
+// run callbacks. A manual round loop's end_round() takes the same close with
+// an empty sweep, so its merges run shard-parallel too (§7). Either way,
+// round counts, message counts, active-node order, and per-inbox delivery
+// order are BIT-IDENTICAL to the sequential engine for any thread count —
+// parallelism lives entirely below the accounting layer. Parallel callbacks
+// must honor the §7 thread-safety contract: the callback for node v may call
 // send(v, ...) / wake(v) (checked) and may only write per-node state it owns.
 //
 // Accounting: `rounds()` and `messages()` count everything that ran through
@@ -181,8 +181,7 @@ class Engine {
       Engine* e;
       std::remove_reference_t<F>* f;
     } ctx{this, &fn};
-    // One whole-shard sweep with fn inlined in the loop, shared by the
-    // pipelined close and its barriered stamp-wrap fallback.
+    // One whole-shard sweep with fn inlined in the loop.
     const auto callbacks = +[](void* c, int s) {
       auto* x = static_cast<Ctx*>(c);
       for (const int v : x->e->dp_.shard_active(s)) {
@@ -196,8 +195,7 @@ class Engine {
       // Pipelined close (§8): callbacks and the merge fuse into one
       // two-stage dispatch; only the accounting tail is sequential.
       dp_.set_parallel_callbacks(true);
-      const std::uint64_t staged =
-          dp_.run_pipelined_round(exec_, callbacks, &ctx);
+      const std::uint64_t staged = dp_.end_round(exec_, callbacks, &ctx);
       dp_.set_parallel_callbacks(false);
       finish_round(staged);
       ++executed;
@@ -229,9 +227,9 @@ class Engine {
   }
 
  private:
-  // The accounting tail every round close funds, whichever close staged the
-  // messages (§7 end_round(), §8 pipelined) — keep it in one place so the
-  // two cannot drift.
+  // The accounting tail of every round close, whether run() or a manual
+  // loop's end_round() closed it — kept in one place so the two cannot
+  // drift.
   void finish_round(std::uint64_t staged) {
     in_round_ = false;
     messages_ += staged;

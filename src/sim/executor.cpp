@@ -144,7 +144,6 @@ Executor::~Executor() {
 
 void Executor::worker_loop(int idx) {
   tl_thread = idx;
-  ThreadState& st = threads_state_[static_cast<std::size_t>(idx)];
   std::uint64_t seen = 0;
   for (;;) {
     // WD-EXEMPT: not a deadlock class — the dispatching caller always bumps
@@ -160,16 +159,7 @@ void Executor::worker_loop(int idx) {
       outstanding_.fetch_sub(1, std::memory_order_release);
       return;
     }
-    if (stage2_ != nullptr) {
-      two_stage_thread(idx);
-    } else if (idx < num_tasks_) {
-      st.phase.store(kPhaseStage1, std::memory_order_relaxed);
-      st.task.store(idx, std::memory_order_relaxed);
-      tl_task = idx;
-      fn_(ctx_, idx);
-      tl_task = -1;
-      st.phase.store(kPhaseIdle, std::memory_order_relaxed);
-    }
+    two_stage_thread(idx);
     progress_.fetch_add(1, std::memory_order_relaxed);
     // PAIR(dispatch-barrier): this worker's task writes, published to the
     // caller's barrier acquire
@@ -241,25 +231,20 @@ void Executor::watchdog_fire(int phase, int task) {
                "(DESIGN.md §9)\n",
                static_cast<long long>(watchdog_ns_ / 1'000'000LL), tl_thread,
                phase_name(phase), task);
-  const bool live = stage2_ != nullptr;
   std::fprintf(stderr,
-               "PW_WATCHDOG: dispatch: %s, num_tasks=%d claimed=%d "
+               "PW_WATCHDOG: dispatch: two_stage, num_tasks=%d claimed=%d "
                "published_seq=%d outstanding=%d\n",
-               live ? "two_stage" : "barriered/none", num_tasks_,
-               claimed_.load(std::memory_order_relaxed),
+               num_tasks_, claimed_.load(std::memory_order_relaxed),
                published_seq_.load(std::memory_order_relaxed),
                outstanding_.load(std::memory_order_relaxed));
-  if (live)
-    for (int d = 0; d < num_tasks_; ++d)
-      // ready_state: -1 = unpublished, -2 = claimed, >= 0 = published with
-      // that claim weight.
-      std::fprintf(
-          stderr, "PW_WATCHDOG: stage2 task %d: deps_left=%d ready_state=%d\n",
-          d,
-          deps_left_[static_cast<std::size_t>(d)].load(
-              std::memory_order_relaxed),
-          ready_state_[static_cast<std::size_t>(d)].load(
-              std::memory_order_relaxed));
+  for (int d = 0; d < num_tasks_; ++d)
+    // ready_state: 0 = unpublished, 1 = published, 2 = claimed.
+    std::fprintf(
+        stderr, "PW_WATCHDOG: stage2 task %d: deps_left=%d ready_state=%d\n",
+        d,
+        deps_left_[static_cast<std::size_t>(d)].load(std::memory_order_relaxed),
+        ready_state_[static_cast<std::size_t>(d)].load(
+            std::memory_order_relaxed));
   for (int t = 0; t < num_threads_; ++t) {
     const ThreadState& st = threads_state_[static_cast<std::size_t>(t)];
     std::fprintf(stderr,
@@ -282,43 +267,14 @@ void Executor::wait_barrier() {
   }
 }
 
-void Executor::parallel(int num_tasks, TaskFn fn, void* ctx) {
-  PW_CHECK(num_tasks >= 1 && num_tasks <= num_threads_);
-  PW_CHECK(tl_task == -1);  // no nested dispatch
-  tl_thread = 0;
-  if (workers_.empty() || num_tasks == 1) {
-    tl_task = 0;
-    fn(ctx, 0);
-    tl_task = -1;
-    // With num_tasks == 1 no worker has anything to do; skipping the wakeup
-    // keeps single-task dispatches free of cross-thread traffic.
-    return;
-  }
-  fn_ = fn;
-  ctx_ = ctx;
-  stage2_ = nullptr;
-  num_tasks_ = num_tasks;
-  outstanding_.store(static_cast<int>(workers_.size()), std::memory_order_relaxed);
-  // PAIR(dispatch-generation): fn_/ctx_/num_tasks_ published to the workers
-  generation_.fetch_add(1, std::memory_order_release);
-  generation_.notify_all();
-  tl_task = 0;
-  fn(ctx, 0);
-  tl_task = -1;
-  wait_barrier();
-}
-
-// Publishes stage-2 task d for claiming, weighted by the caller's size hook.
-// Called on the thread whose seal dropped d's dependency counter to zero:
-// that thread has acquired every feeder's release, so size_fn_ may read all
-// staged inputs, and the release store of the weight plus the claimer's
-// acquire CAS carry the same inputs to whichever thread runs d.
+// Publishes stage-2 task d for claiming. Called on the thread whose seal
+// dropped d's dependency counter to zero: that thread has acquired every
+// feeder's release, and the release store of the publish state plus the
+// claimer's acquire CAS carry the same inputs to whichever thread runs d.
 void Executor::publish(int d) {
-  int size = size_fn_ != nullptr ? size_fn_(ctx_, d) : 0;
-  if (size < 0) size = 0;
-  // PAIR(ready-state): publish d's weight (and, transitively, its sealed
-  // inputs) to the claimers' acquire CAS/loads
-  ready_state_[static_cast<std::size_t>(d)].store(size,
+  // PAIR(ready-state): publish d (and, transitively, its sealed inputs) to
+  // the claimers' acquire CAS/loads
+  ready_state_[static_cast<std::size_t>(d)].store(kReadyPublished,
                                                   std::memory_order_release);
   // Store-buffer handshake: the seq_cst bump vs. the parker's seq_cst
   // registration guarantee at least one side sees the other, so the wake is
@@ -369,8 +325,8 @@ void Executor::two_stage_thread(int idx) {
     tl_task = -1;
     progress_.fetch_add(1, std::memory_order_relaxed);
   }
-  // Claim loop: scan the publish states for the heaviest unclaimed task and
-  // CAS it to claimed; losing a CAS race just rescans. When nothing is
+  // Claim loop: scan the publish states for the lowest-index published task
+  // and CAS it to claimed; losing a CAS race just rescans. When nothing is
   // published, park on published_seq_ (snapshotted BEFORE the scan, so a
   // publish racing the scan makes the park return immediately). Every task
   // is eventually published (all stage-1 tasks run), so the wait terminates
@@ -380,20 +336,14 @@ void Executor::two_stage_thread(int idx) {
   while (claimed_.load(std::memory_order_acquire) < num_tasks_) {
     // PAIR(published-seq): park snapshot, taken BEFORE the scan
     const int seq = published_seq_.load(std::memory_order_acquire);
-    int best = -1;
-    int best_size = -1;
-    for (int d = 0; d < num_tasks_; ++d) {
-      // PAIR(ready-state): acquire each candidate's published weight
-      const int v =
-          ready_state_[static_cast<std::size_t>(d)].load(
-              std::memory_order_acquire);
-      if (v > best_size) {
-        best = d;
-        best_size = v;
-      }
-    }
-    if (best_size >= 0) {
-      int expected = best_size;
+    int best = 0;
+    // PAIR(ready-state): acquire each candidate's publish state
+    while (best < num_tasks_ &&
+           ready_state_[static_cast<std::size_t>(best)].load(
+               std::memory_order_acquire) != kReadyPublished)
+      ++best;
+    if (best < num_tasks_) {
+      int expected = kReadyPublished;
       // PAIR(ready-state): the exactly-once claim arbiter — the winning
       // CAS acquires every input the publish released
       if (!ready_state_[static_cast<std::size_t>(best)]
@@ -438,7 +388,7 @@ void Executor::two_stage_thread(int idx) {
 }
 
 void Executor::two_stage(int num_tasks, TaskFn stage1, TaskFn stage2,
-                         const PipelineDeps& deps, void* ctx, SizeFn size_of) {
+                         const PipelineDeps& deps, void* ctx) {
   PW_CHECK(num_tasks >= 1 && num_tasks <= num_threads_);
   PW_CHECK(tl_task == -1);  // no nested dispatch
   tl_thread = 0;
@@ -466,7 +416,6 @@ void Executor::two_stage(int num_tasks, TaskFn stage1, TaskFn stage2,
   deps_ = deps;
   ctx_ = ctx;
   num_tasks_ = num_tasks;
-  size_fn_ = size_of;
   outstanding_.store(static_cast<int>(workers_.size()), std::memory_order_relaxed);
   // PAIR(dispatch-generation): the pipeline fields + counter resets above,
   // published to the workers
@@ -474,8 +423,6 @@ void Executor::two_stage(int num_tasks, TaskFn stage1, TaskFn stage2,
   generation_.notify_all();
   two_stage_thread(0);
   wait_barrier();
-  stage2_ = nullptr;
-  size_fn_ = nullptr;
   // Every dependency edge must have been sealed exactly once: a missed seal
   // would have deadlocked a merge (the claim loop above would never return),
   // a double seal leaves a counter negative here and could have published a

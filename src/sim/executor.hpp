@@ -2,24 +2,20 @@
 //
 // The engine runs two kinds of shard-parallel work per round: the user's
 // per-node callbacks (Engine::run) and the deterministic end-of-round merge.
-// Engine::run fuses them into one dependency-driven two-stage dispatch that
-// overlaps them (two_stage(), DESIGN.md §8); a manual round loop's
-// end_round() and the stamp-wrap round run the merge as a barriered phase
-// (parallel(), DESIGN.md §7). Workers are spawned
-// once at engine construction and parked on a futex between dispatches — no
-// per-round thread creation, no steady-state heap allocation, and a plain
-// function pointer + context void* instead of std::function (whose assignment
-// may allocate).
+// Every round close fuses them into one dependency-driven two-stage dispatch
+// that overlaps them (two_stage(), DESIGN.md §8); a manual round loop's
+// end_round() runs the same dispatch with an empty stage 1. Workers are
+// spawned once at engine construction and parked on a futex between
+// dispatches — no per-round thread creation, no steady-state heap
+// allocation, and a plain function pointer + context void* instead of
+// std::function (whose assignment may allocate).
 //
-// Task t of a stage-1 dispatch always executes on thread t (the calling
-// thread runs task 0), so a task owns the same shard every round —
-// shard-local state needs no synchronization beyond the dispatch barrier
-// itself. Stage-2 tasks of a two_stage() dispatch are instead claimed
-// dynamically: a free thread scans the publish states for the HEAVIEST
-// published task (weight from a caller-supplied size hook) and CASes it to
-// claimed, so a skewed round's heavyweight merge is never stuck behind
-// lighter ones that happened to publish earlier. The CAS is the exactly-once
-// arbiter: each task runs once, on whichever thread wins it.
+// Stage-1 task t always executes on thread t (the calling thread runs task
+// 0), so a task owns the same shard every round — shard-local state needs no
+// synchronization beyond the dispatch itself. Stage-2 tasks are instead
+// claimed dynamically: a free thread scans the publish states for the
+// lowest-index published task and CASes it to claimed. The CAS is the
+// exactly-once arbiter: each task runs once, on whichever thread wins it.
 //
 // Sealing is shard-granular (DESIGN.md §8): when a stage-1 task's function
 // returns, the executor seals every out-edge of that task at once, and the
@@ -61,11 +57,6 @@ class Executor {
     const int* dep_count = nullptr;  // size num_tasks, each >= 1
   };
 
-  // Weight of stage-2 task d for two_stage()'s largest-first claim order,
-  // invoked on the publishing thread as size_of(ctx, d); every feeder of d
-  // has sealed by then, so it may read all of d's staged inputs.
-  using SizeFn = int (*)(void* ctx, int d);
-
   // Spawns num_threads - 1 workers (thread 0 is the caller) and arms the
   // no-progress watchdog (§9) on the executor's blocking waits: if a wait
   // (the dispatch barrier or a merge-claim park) sees no executor-wide
@@ -80,28 +71,23 @@ class Executor {
 
   int num_threads() const { return num_threads_; }
 
-  // Runs fn(ctx, t) for every t in [0, num_tasks), task t on thread t, and
-  // returns when all tasks finished (a full barrier: every task's writes are
-  // visible to the caller). num_tasks must not exceed num_threads(). Not
-  // reentrant: tasks must not call parallel() themselves.
-  void parallel(int num_tasks, TaskFn fn, void* ctx);
-
-  // Two-stage dependency-driven dispatch (DESIGN.md §8): runs stage-1 task t
-  // on thread t exactly like parallel(); the moment a thread finishes its
-  // stage-1 task it SEALS it — decrementing the dependency counters of the
-  // stage-2 tasks it feeds (deps.out) — and the thread that drops a counter
-  // to zero PUBLISHES that stage-2 task (with its size_of weight; a null
-  // size_of weighs every task 0, so claims go lowest-index-first). Free
-  // threads claim published stage-2 tasks largest-first (any thread, each
-  // task exactly once) until all num_tasks of them have run, so stage-2 work
-  // for one task overlaps stage-1 work of tasks it does not depend on.
-  // Returns when both stages finished everywhere (a full barrier like
-  // parallel()); there is no barrier BETWEEN the stages. The dispatch ends
-  // with every dependency counter at zero (checked: a missed seal would
-  // deadlock a merge, a double seal could run one twice). Not reentrant, and
-  // this_task() inside a stage-2 task reports the stage-2 task id.
+  // Two-stage dependency-driven dispatch (DESIGN.md §8), the executor's only
+  // dispatch: runs stage1(ctx, t) for every t in [0, num_tasks), task t on
+  // thread t; the moment a thread finishes its stage-1 task it SEALS it —
+  // decrementing the dependency counters of the stage-2 tasks it feeds
+  // (deps.out) — and the thread that drops a counter to zero PUBLISHES that
+  // stage-2 task. Free threads claim published stage-2 tasks lowest index
+  // first (any thread, each task exactly once) until all num_tasks of them
+  // have run, so stage-2 work for one task overlaps stage-1 work of tasks it
+  // does not depend on. Returns when both stages finished everywhere (a full
+  // barrier: every task's writes are visible to the caller); there is no
+  // barrier BETWEEN the stages. num_tasks must not exceed num_threads(). The
+  // dispatch ends with every dependency counter at zero (checked: a missed
+  // seal would deadlock a merge, a double seal could run one twice). Not
+  // reentrant, and this_task() inside a stage-2 task reports the stage-2
+  // task id.
   void two_stage(int num_tasks, TaskFn stage1, TaskFn stage2,
-                 const PipelineDeps& deps, void* ctx, SizeFn size_of);
+                 const PipelineDeps& deps, void* ctx);
 
   // True when no dispatch is in flight (all workers have finished their
   // tasks and reported). Between dispatches this is the executor's resting
@@ -112,8 +98,8 @@ class Executor {
   }
 
   // Task index of the calling thread inside a dispatch, -1 outside. During
-  // stage 1 of two_stage() (and all of parallel()) this is the shard the
-  // thread owns; the data plane uses it to pin shard ownership violations.
+  // stage 1 this is the shard the thread owns; the data plane uses it to pin
+  // shard ownership violations.
   static int this_task();
 
   // --- watchdog (§9) --------------------------------------------------------
@@ -158,11 +144,11 @@ class Executor {
     kPhaseClaim,
     kPhaseStage2,
   };
-  // ready_state_ publish protocol values; any value >= 0 is a published,
-  // unclaimed task carrying its size_of weight.
+  // ready_state_ publish protocol values.
   enum : int {
-    kReadyUnpublished = -1,
-    kReadyClaimed = -2,
+    kReadyUnpublished = 0,
+    kReadyPublished,
+    kReadyClaimed,
   };
 
   void worker_loop(int idx);
@@ -183,11 +169,10 @@ class Executor {
 
   TaskFn fn_ = nullptr;
   void* ctx_ = nullptr;
-  TaskFn stage2_ = nullptr;  // non-null marks a two_stage() dispatch
+  TaskFn stage2_ = nullptr;
   PipelineDeps deps_{};
   int num_tasks_ = 0;
   bool stop_ = false;
-  SizeFn size_fn_ = nullptr;  // largest-first claim weights
   // Dispatch protocol: fn_/ctx_/stage2_/deps_/num_tasks_/stop_ and the
   // pipeline counters below are written by the caller, then published by the
   // generation bump (release); workers acquire-load the generation, run their
@@ -199,15 +184,15 @@ class Executor {
   std::atomic<int> outstanding_{0};
   // Pipeline state, sized to num_threads_ once at construction.
   // ready_state_[d] carries stage-2 task d's publish state (kReadyUnpublished
-  // → size weight on publish → kReadyClaimed on claim); claiming is a CAS on
-  // the published weight, so each task runs exactly once even when several
-  // threads pick the same largest entry. published_seq_ counts publishes
+  // → kReadyPublished → kReadyClaimed); claiming is a CAS from
+  // kReadyPublished, so each task runs exactly once even when several
+  // threads pick the same lowest entry. published_seq_ counts publishes
   // (plus the final claim) and is the single futex claimers park on;
   // claimed_ counts claims so threads know when the dispatch is drained.
   // claim_waiters_ counts threads parked on published_seq_ (seq_cst
   // handshake against the publish bump), so a publish skips the wake syscall
   // when nobody sleeps and wakes one claimer — not the herd — when somebody
-  // does. A claim is an O(S) scan of ready_state_ for the heaviest published
+  // does. A claim is an O(S) scan of ready_state_ for the first published
   // task: S is the thread count, so the scan is a handful of loads.
   // SHARED-LINE(vector headers, cold after construction — the contended
   // elements live in the heap blocks, spaced by the §8 claim protocol)

@@ -13,6 +13,7 @@
 #include <gtest/gtest.h>
 
 #include <cinttypes>
+#include <limits>
 
 #include "bench/common.hpp"
 #include "src/apps/mst.hpp"
@@ -61,7 +62,8 @@ std::vector<Instance> instances() {
 
 // Every case runs under the sequential engine AND the sharded parallel one
 // (DESIGN.md §7): run() closes its rounds with the pipelined close of §8,
-// the manual-round-loop traces below with the barriered end_round().
+// and the manual-round-loop traces below take the same close through
+// end_round(), with an empty callback sweep.
 // Parallelism lives below the accounting layer, so every thread count must
 // reproduce the goldens bit-for-bit.
 constexpr int kThreadCounts[] = {1, 2, 4};
@@ -167,12 +169,18 @@ TEST(EngineDeterminism, GoldenActiveOrderTrace) {
 // count, not just the counts and the active order the goldens above pin.
 // BFS-tree construction exercises the shard-parallel run() callback path;
 // the trace is taken by a manual round loop re-reading what run() would see.
+// The loop also runs across a forced round-id wrap: the third round opens at
+// id 2^32 - 1, so begin_round() wraps it while that round's inbox runs are
+// live, and they must still read back in the wrap round and after it.
 TEST(EngineDeterminism, GoldenDeliveryTraceIdenticalAcrossThreadCounts) {
   Rng rng(43);
   const auto inst = general_instance(512, rng);
 
-  auto delivery_trace = [&](int threads) {
+  auto delivery_trace = [&](int threads, bool wrap) {
     sim::Engine eng(inst.g, sim::ExecutionPolicy{.num_threads = threads});
+    if (wrap)
+      eng.debug_set_wrap_state(std::numeric_limits<std::uint32_t>::max() - 2,
+                               5);
     std::vector<std::uint64_t> trace;
     std::vector<char> seen(static_cast<std::size_t>(inst.g.n()), 0);
     seen[0] = 1;
@@ -203,10 +211,13 @@ TEST(EngineDeterminism, GoldenDeliveryTraceIdenticalAcrossThreadCounts) {
     return trace;
   };
 
-  const auto t1 = delivery_trace(1);
+  const auto t1 = delivery_trace(1, false);
   ASSERT_FALSE(t1.empty());
-  EXPECT_EQ(t1, delivery_trace(2));
-  EXPECT_EQ(t1, delivery_trace(4));
+  EXPECT_EQ(t1, delivery_trace(2, false));
+  EXPECT_EQ(t1, delivery_trace(4, false));
+  for (const int threads : kThreadCounts)
+    EXPECT_EQ(t1, delivery_trace(threads, true))
+        << "round-id wrap, threads=" << threads;
 }
 
 }  // namespace

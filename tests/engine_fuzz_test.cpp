@@ -185,7 +185,7 @@ TEST(EngineFuzz, TraceIdenticalAcrossFullConfigMatrix) {
       for (const int threads : {2, 4}) {
         // Rep 0 plus PW_FUZZ_SOAK_REPS soak replays: the pipelined close
         // stacks every scheduling protocol (seals, dependency counters,
-        // largest-first claims), so one replay per row is not enough.
+        // merge claims), so one replay per row is not enough.
         const std::uint64_t reps = 1 + env_u64("PW_FUZZ_SOAK_REPS", 2);
         for (std::uint64_t r = 0; r < reps; ++r)
           EXPECT_EQ(reference,

@@ -8,7 +8,10 @@
 
 #include <array>
 #include <atomic>
+#include <climits>
+#include <cstdint>
 #include <set>
+#include <vector>
 
 #include "src/graph/generators.hpp"
 #include "src/sim/engine.hpp"
@@ -18,9 +21,9 @@ namespace {
 
 using graph::Graph;
 
-// Four shards. Manual-round-loop tests close rounds through the barriered
-// merge of end_round() (§7); run()-based tests take the pipelined close
-// (§8, which has its own suite, engine_pipeline_test.cpp).
+// Four shards. Manual-round-loop tests close rounds through end_round(),
+// the pipelined close of §8 with an empty callback sweep; run()-based tests
+// take it with their callbacks (its own suite: engine_pipeline_test.cpp).
 constexpr ExecutionPolicy kSharded{.num_threads = 4};
 
 // Mirror of EngineStress.DrainDiscardsInFlightTrafficWithoutCorruptingLaterRounds
@@ -209,6 +212,38 @@ TEST(EngineParallel, MoreThreadsThanNodes) {
   });
   EXPECT_EQ(deliveries, 1);
   EXPECT_EQ(eng.messages(), 1u);
+}
+
+// Any positive thread count is legal, INT_MAX included: the data plane clamps
+// the request to the node count before sizing its shards (dividing by the
+// raw request overflowed int). path(8) gets one shard per node — 7 workers —
+// and the same delivery trace as the sequential engine.
+TEST(EngineParallel, IntMaxThreadsClampToNodeCount) {
+  const Graph g = graph::gen::path(8);
+  auto flood = [&g](Engine& eng) {
+    // Per-node slots, each written only by its node's callback (§7).
+    std::vector<std::vector<std::uint64_t>> log(8);
+    std::vector<char> sent(8, 0);
+    eng.wake(0);
+    eng.run([&](int v) {
+      auto& l = log[static_cast<std::size_t>(v)];
+      for (const auto& in : eng.inbox(v))
+        l.push_back(static_cast<std::uint64_t>(in.from) << 32 |
+                    static_cast<std::uint32_t>(in.port));
+      l.push_back(~0ULL);  // activation separator
+      if (sent[static_cast<std::size_t>(v)]) return;
+      sent[static_cast<std::size_t>(v)] = 1;
+      for (int p = 0; p < g.degree(v); ++p)
+        eng.send(v, p, Msg{3, static_cast<std::uint64_t>(v), 0, 0});
+    });
+    return log;
+  };
+  Engine seq(g);
+  Engine wide(g, ExecutionPolicy{.num_threads = INT_MAX});
+  EXPECT_EQ(wide.num_threads(), 8);
+  EXPECT_EQ(flood(wide), flood(seq));
+  EXPECT_EQ(wide.rounds(), seq.rounds());
+  EXPECT_EQ(wide.messages(), seq.messages());
 }
 
 }  // namespace

@@ -7,8 +7,8 @@
 // pin that under the shapes that stress the seal — a skewed sender shard
 // whose only cross-shard feeder runs first vs last in its sweep, buckets
 // with capacity but zero staged traffic, rounds whose traffic never crosses
-// a shard boundary — plus the stamp/epoch wrap fallbacks and the hardened
-// drain() protocol.
+// a shard boundary — plus the stamp/epoch wraps and the hardened drain()
+// protocol.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -192,11 +192,11 @@ TEST(EngineSeal, SelfEdgeOnlyRound) {
   });
 }
 
-// The once-per-2^32-rounds stamp wrap falls back to a barriered close for
-// exactly one round mid-run — the only place run() still takes the
-// barriered close; the pipelined close must resume cleanly after it. Forced
-// via the debug_set_wrap_state test hook two rounds before the wrap, so the
-// third executed round is the wrap round and the fourth is pipelined again.
+// The once-per-2^32-rounds round-id wrap mid-run: begin_round() clears the
+// arc stamps and carries the live inbox runs over to id 1 before the wrap
+// round's sweep, and the pipelined close must run through it unchanged.
+// Forced via the debug_set_wrap_state test hook two rounds before the wrap,
+// so the third executed round is the wrap round and the fourth follows it.
 TEST(EngineSeal, ForcedRoundIdWrapMidRun) {
   Rng rng(21);
   const Graph g = graph::gen::random_connected(256, 768, rng);

@@ -1,13 +1,13 @@
-// Largest-first merge claims (DESIGN.md §8): a free thread scans the
-// stage-2 publish states for the heaviest published task and CASes it to
-// claimed — ready_state_'s CAS is the exactly-once arbiter. These tests
-// drive the Executor directly: exactly-once stage-2 execution under
-// repeated skewed dispatches (every claimer racing for the same heaviest
-// entry), surplus threads that only claim, the empty-scan park/retry path
-// (one slow publisher forces every other thread to park until its seals
-// land), and the degenerate inline dispatch. The TSan CI job runs this file
-// (name matches its -R filter) — the claim CAS and the park handshake are
-// exactly what it exists to check.
+// Lowest-index merge claims (DESIGN.md §8): a free thread scans the stage-2
+// publish states for the first published task and CASes it to claimed —
+// ready_state_'s CAS is the exactly-once arbiter. These tests drive the
+// Executor directly: exactly-once stage-2 execution under repeated
+// dispatches where every claimer races for the same lowest entry, surplus
+// threads that only claim, the empty-scan park/retry path (one slow
+// publisher forces every other thread to park until its seals land), and the
+// degenerate inline dispatch. The TSan CI job runs this file (name matches
+// its -R filter) — the claim CAS and the park handshake are exactly what it
+// exists to check.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -53,11 +53,8 @@ struct Identity {
 
 struct ClaimCtx {
   std::vector<std::atomic<int>> runs;  // per stage-2 task
-  std::vector<int> weights;            // size_of result per task
   int slow_task = -1;                  // stage-1 task that busy-waits
-  explicit ClaimCtx(int t) : runs(static_cast<std::size_t>(t)) {
-    for (int d = 0; d < t; ++d) weights.push_back((t - d) * 100);
-  }
+  explicit ClaimCtx(int t) : runs(static_cast<std::size_t>(t)) {}
   void reset() {
     for (auto& r : runs) r.store(0, std::memory_order_relaxed);
   }
@@ -81,24 +78,19 @@ void stage2(void* ctx, int task) {
       .fetch_add(1, std::memory_order_relaxed);
 }
 
-int size_of(void* ctx, int task) {
-  return static_cast<ClaimCtx*>(ctx)
-      ->weights[static_cast<std::size_t>(task)];
-}
-
 // Every claim is contended: the all-to-all graph publishes all tasks from
 // whichever thread seals last, so every thread's scan lands on the same
-// heaviest entry at once. Repeats shake the interleavings; each dispatch
+// lowest entry at once. Repeats shake the interleavings; each dispatch
 // must run each stage-2 task exactly once (a double claim would
 // double-count, a lost task would hang the dispatch).
-TEST(MergeClaims, ExactlyOnceUnderRepeatedSkewedDispatches) {
+TEST(MergeClaims, ExactlyOnceUnderRepeatedContendedDispatches) {
   const int kThreads = 4;
   Executor ex(kThreads);
   AllToAll graph(kThreads);
   ClaimCtx ctx(kThreads);
   for (int rep = 0; rep < 300; ++rep) {
     ctx.reset();
-    ex.two_stage(kThreads, stage1, stage2, graph.deps(), &ctx, size_of);
+    ex.two_stage(kThreads, stage1, stage2, graph.deps(), &ctx);
     for (int d = 0; d < kThreads; ++d)
       ASSERT_EQ(ctx.runs[static_cast<std::size_t>(d)].load(), 1)
           << "rep " << rep << " task " << d;
@@ -115,7 +107,7 @@ TEST(MergeClaims, SurplusThreadsOnlyClaim) {
   ClaimCtx ctx(kTasks);
   for (int rep = 0; rep < 300; ++rep) {
     ctx.reset();
-    ex.two_stage(kTasks, stage1, stage2, graph.deps(), &ctx, nullptr);
+    ex.two_stage(kTasks, stage1, stage2, graph.deps(), &ctx);
     for (int d = 0; d < kTasks; ++d)
       ASSERT_EQ(ctx.runs[static_cast<std::size_t>(d)].load(), 1)
           << "rep " << rep << " task " << d;
@@ -135,7 +127,7 @@ TEST(MergeClaims, EmptyScanParksUntilSlowPublisherSeals) {
   ctx.slow_task = kThreads - 1;
   for (int rep = 0; rep < 50; ++rep) {
     ctx.reset();
-    ex.two_stage(kThreads, stage1, stage2, graph.deps(), &ctx, size_of);
+    ex.two_stage(kThreads, stage1, stage2, graph.deps(), &ctx);
     for (int d = 0; d < kThreads; ++d)
       ASSERT_EQ(ctx.runs[static_cast<std::size_t>(d)].load(), 1)
           << "rep " << rep << " task " << d;
@@ -148,12 +140,12 @@ TEST(MergeClaims, DegenerateDispatchesRunInline) {
   Executor ex1(1);
   AllToAll graph(1);
   ClaimCtx ctx(1);
-  ex1.two_stage(1, stage1, stage2, graph.deps(), &ctx, nullptr);
+  ex1.two_stage(1, stage1, stage2, graph.deps(), &ctx);
   EXPECT_EQ(ctx.runs[0].load(), 1);
 
   Executor ex4(4);
   ctx.reset();
-  ex4.two_stage(1, stage1, stage2, graph.deps(), &ctx, nullptr);
+  ex4.two_stage(1, stage1, stage2, graph.deps(), &ctx);
   EXPECT_EQ(ctx.runs[0].load(), 1);
 }
 
